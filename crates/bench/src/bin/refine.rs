@@ -23,8 +23,8 @@
 //! **cold** (`evaluate()`, rebuilding the skyline from the R-tree) and
 //! **seeded** (`evaluate_seeded(prev)`, priming the skyline from the
 //! previous step's captured state). The chain runs on the unsharded
-//! engine (K = 1) and through the sharded scatter-gather merge (K = 4,
-//! per-shard seed slices).
+//! engine (K = 1) and on a K = 4 sharded engine (one seed over the
+//! shard union, stamped with the whole version vector).
 //!
 //! Every seeded matching is checked **pair-for-pair, bit-for-bit**
 //! against its cold twin; a mismatch aborts the run. The acceptance bar

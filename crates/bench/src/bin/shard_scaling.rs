@@ -1,4 +1,4 @@
-//! Partitioned-engine scaling harness: scatter-gather evaluation and
+//! Partitioned-engine scaling harness: shard-union evaluation and
 //! routed mutations vs. shard count `K`, against the unsharded engine.
 //!
 //! Emits a self-validating `BENCH_pr9.json` (schema `mpq.bench.shard/1`)
@@ -15,14 +15,14 @@
 //!
 //! Three quantities per shard count:
 //!
-//! 1. **Evaluation speedup** — wall time of a request stream through the
-//!    sharded scatter-gather merge (initial probes fan out across `K`
-//!    worker threads) vs. the same stream on the unsharded engine. Every
-//!    cell is checked **pair-for-pair, bit-for-bit** against the
-//!    unsharded matchings; a mismatch aborts the run.
-//! 2. **Shard-skip rate** — how often the merge's per-shard score upper
-//!    bound proved a stale shard irrelevant (no re-probe), normalised by
-//!    the gather opportunities (`resolved pairs × K`).
+//! 1. **Evaluation speedup** — wall time of a request stream evaluated
+//!    over the `K`-shard union vs. the same stream on the unsharded
+//!    engine. Every cell is checked **pair-for-pair, bit-for-bit**
+//!    against the unsharded matchings; a mismatch aborts the run.
+//! 2. **Shard-skip rate** — retired, always 0: it counted probes the
+//!    former per-shard best-pair merge skipped by a score bound, and
+//!    stays in the schema (`skipped_shards`, `shard_skip_rate`) until
+//!    its version is bumped.
 //! 3. **Mutation throughput** — a routed insert/remove/update stream;
 //!    each mutation touches exactly one shard's tree + WAL, so smaller
 //!    shards mean cheaper incremental maintenance.
@@ -179,7 +179,7 @@ fn run(cfg: &Config) {
             .expect("workload objects are valid");
         let build_secs = build_start.elapsed().as_secs_f64();
 
-        // Evaluation: scatter-gather stream, verified bit-for-bit.
+        // Evaluation: the request stream, verified bit-for-bit.
         let skipped_before = sharded.skipped_shards();
         let eval_start = Instant::now();
         let matchings: Vec<Matching> = function_sets
@@ -262,7 +262,7 @@ fn run(cfg: &Config) {
         (
             "achieved",
             if cores < 2 {
-                Json::Null // scatter parallelism is unmeasurable here
+                Json::Null // a speedup is unmeasurable on one core
             } else {
                 Json::Bool(accept_best.unwrap_or(0.0) >= ACCEPT_SPEEDUP)
             },

@@ -90,8 +90,8 @@ const USAGE: &str = "usage:
   mpq match --objects <objects.csv> --functions <functions.csv>
             [--algo sb|bf|chain] [--shards <K>] [--output <file>]
             # --shards K > 1 partitions the objects into K per-shard
-            # R-trees and resolves the (bit-identical) matching with the
-            # scatter-gather merge
+            # R-trees and evaluates the (bit-identical) matching over
+            # their union
   mpq generate --distribution <independent|correlated|anti-correlated|clustered|zillow>
                --objects <N> --dim <D> [--seed <S>]
   mpq throughput --objects <objects.csv> --functions <functions.csv>
@@ -574,7 +574,7 @@ struct ServeFlags {
 
 /// The `--shards K > 1` replay: build (or reopen) a [`ShardedEngine`],
 /// serve the same replay workload through its service, and verify every
-/// served matching bit-identical to a direct scatter-gather evaluation.
+/// served matching bit-identical to a direct sharded evaluation.
 fn serve_sharded(args: &[String], flags: ServeFlags) -> Result<String, CliError> {
     let ServeFlags {
         algorithm,

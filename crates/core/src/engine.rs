@@ -47,7 +47,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use mpq_rtree::{
-    DiskPager, FaultInjector, FaultPageStore, IoSession, IoStats, MemPager, PointSet, RTree,
+    DiskPager, FaultInjector, FaultPageStore, IoSession, IoStats, MemPager, NodeSource, PointSet,
+    RTree,
 };
 use mpq_skyline::SkylineMaintainer;
 use mpq_ta::{FunctionSet, ReverseTopOne};
@@ -65,8 +66,8 @@ use crate::sb::{
 use crate::scratch::Scratch;
 use crate::seed::{EvalSeed, SeedPart};
 use crate::service::{
-    resolved_workers, safe_rate, worker_loop, EngineService, ServiceConfig, ServiceCore,
-    SubmitOptions,
+    resolved_workers, safe_rate, worker_loop, BackendRef, EngineService, ServiceConfig,
+    ServiceCore, SubmitOptions,
 };
 use crate::wal::{Wal, WalRecord};
 
@@ -204,7 +205,7 @@ impl<'o> EngineBuilder<'o> {
     /// Index `objects[i]` under `oids[i]` instead of the point index —
     /// and mint new ids from `max(oids) + 1` on. Shard-internal (see
     /// the `shard` module): every per-shard tree speaks global object
-    /// ids natively, so the merge protocol needs no translation layer.
+    /// ids natively, so the shard union needs no id translation.
     pub(crate) fn explicit_oids(mut self, oids: &'o [u64]) -> EngineBuilder<'o> {
         self.oids = Some(oids);
         self
@@ -946,8 +947,6 @@ impl Engine {
         threads: usize,
     ) -> Result<BatchOutcome, MpqError> {
         let wall_start = Instant::now();
-        let n = requests.len();
-        let threads = resolved_workers(threads).clamp(1, n.max(1));
 
         // Fail fast: all evaluation errors are request-shape errors, so
         // an invalid request is caught here — in input order — before
@@ -964,63 +963,8 @@ impl Engine {
             request.validate()?;
         }
 
-        // The batch is one drained service run: a queue sized to the
-        // batch (so submission never blocks), FIFO order, scoped workers
-        // borrowing `self` instead of the long-lived service's Arc. The
-        // queue payloads are *borrowed* from `requests` (the workers
-        // cannot outlive the slice), so no request is cloned to travel
-        // the queue. Caching is off: a batch is explicit about its
-        // request list, and per-request [`RunMetrics`] stay exact only
-        // when every request pays its own run.
-        let core = ServiceCore::new(
-            &ServiceConfig::default()
-                .workers(threads)
-                .queue_capacity(n.max(1))
-                .cache_capacity(0),
-            threads,
-        );
-        let mut results: Vec<Result<Matching, MpqError>> = Vec::with_capacity(n);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let core = &core;
-                scope.spawn(move || worker_loop(core, crate::service::BackendRef::Single(self)));
-            }
-            let tickets: Vec<_> = requests
-                .iter()
-                .map(|r| {
-                    let (functions, options) = r.parts();
-                    core.enqueue(
-                        Cow::Borrowed(functions),
-                        Cow::Borrowed(options),
-                        SubmitOptions::default(),
-                    )
-                    .expect("batch queue is sized to the batch and not shutting down")
-                })
-                .collect();
-            results.extend(tickets.into_iter().map(|t| t.wait()));
-            // All tickets resolved: let the scoped workers drain out so
-            // the scope can join them.
-            core.begin_shutdown();
-        });
-
-        let mut matchings = Vec::with_capacity(n);
-        let mut metrics = BatchMetrics {
-            threads,
-            requests: n,
-            ..BatchMetrics::default()
-        };
-        for result in results {
-            let m = result?;
-            let met = m.metrics();
-            metrics.io += met.io;
-            metrics.cpu_total += met.elapsed;
-            metrics.loops += met.loops;
-            metrics.top1_searches += met.top1_searches;
-            metrics.reverse_top1_calls += met.reverse_top1_calls;
-            matchings.push(m);
-        }
-        metrics.wall = wall_start.elapsed();
-        Ok(BatchOutcome { matchings, metrics })
+        let parts: Vec<_> = requests.iter().map(MatchRequest::parts).collect();
+        run_batch(BackendRef::Single(self), &parts, threads, wall_start)
     }
 
     fn validate_functions(&self, functions: &FunctionSet) -> Result<(), MpqError> {
@@ -1035,6 +979,75 @@ impl Engine {
         }
         Ok(())
     }
+}
+
+/// The batch runner behind [`Engine::evaluate_batch`] and
+/// [`ShardedEngine::evaluate_batch`](crate::ShardedEngine::evaluate_batch),
+/// for requests already validated against `backend`.
+///
+/// The batch is one drained service run: a queue sized to the batch (so
+/// submission never blocks), FIFO order, scoped workers borrowing the
+/// engine instead of the long-lived service's Arc. The queue payloads
+/// are *borrowed* from the requests (the workers cannot outlive them),
+/// so no request is cloned to travel the queue. Caching is off: a batch
+/// is explicit about its request list, and per-request [`RunMetrics`]
+/// stay exact only when every request pays its own run.
+pub(crate) fn run_batch(
+    backend: BackendRef<'_>,
+    requests: &[(&FunctionSet, &RequestOptions)],
+    threads: usize,
+    wall_start: Instant,
+) -> Result<BatchOutcome, MpqError> {
+    let n = requests.len();
+    let threads = resolved_workers(threads).clamp(1, n.max(1));
+    let core = ServiceCore::new(
+        &ServiceConfig::default()
+            .workers(threads)
+            .queue_capacity(n.max(1))
+            .cache_capacity(0),
+        threads,
+    );
+    let mut results: Vec<Result<Matching, MpqError>> = Vec::with_capacity(n);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let core = &core;
+            scope.spawn(move || worker_loop(core, backend));
+        }
+        let tickets: Vec<_> = requests
+            .iter()
+            .map(|&(functions, options)| {
+                core.enqueue(
+                    Cow::Borrowed(functions),
+                    Cow::Borrowed(options),
+                    SubmitOptions::default(),
+                )
+                .expect("batch queue is sized to the batch and not shutting down")
+            })
+            .collect();
+        results.extend(tickets.into_iter().map(|t| t.wait()));
+        // All tickets resolved: let the scoped workers drain out so the
+        // scope can join them.
+        core.begin_shutdown();
+    });
+
+    let mut matchings = Vec::with_capacity(n);
+    let mut metrics = BatchMetrics {
+        threads,
+        requests: n,
+        ..BatchMetrics::default()
+    };
+    for result in results {
+        let m = result?;
+        let met = m.metrics();
+        metrics.io += met.io;
+        metrics.cpu_total += met.elapsed;
+        metrics.loops += met.loops;
+        metrics.top1_searches += met.top1_searches;
+        metrics.reverse_top1_calls += met.reverse_top1_calls;
+        matchings.push(m);
+    }
+    metrics.wall = wall_start.elapsed();
+    Ok(BatchOutcome { matchings, metrics })
 }
 
 /// One evaluation against a prepared [`Engine`], configured fluently.
@@ -1108,7 +1121,7 @@ pub(crate) fn validate_options(
 /// The engine-independent half of [`validate_options`]: request-shape
 /// checks against an id bound. Shared with the sharded evaluation path,
 /// which validates against the *global* id bound (same errors, same
-/// strings) before scattering.
+/// strings).
 pub(crate) fn validate_options_shape(
     oid_bound: usize,
     options: &RequestOptions,
@@ -1159,16 +1172,12 @@ pub(crate) fn evaluate_options(
     evaluate_options_seeded(engine, functions, options, scratch, None, None)
 }
 
-/// Seed-capable form of [`evaluate_options`] — the actual single
-/// evaluation code path. Dispatch is **uniform**: every configuration
-/// takes the same `seed`/`capture` arguments, and only the resumable
-/// one (SB, incremental maintenance, no capacities) honors them — it
-/// primes the skyline from `seed` when the seed is still pinned to the
-/// engine's current inventory, and leaves this run's own [`EvalSeed`]
-/// in `capture`. Every other configuration silently declines both and
-/// runs cold, so callers (the service workers, the bench harnesses)
-/// never branch on the algorithm. Seeded and cold evaluation of the
-/// same request are score-bit-identical (see [`crate::seed`]).
+/// Seed-capable form of [`evaluate_options`]: validate, pin one
+/// [`IoSession`] on the engine's tree, and run [`evaluate_on`] over it.
+/// A mutation that straddles the session pin makes the pinned epoch
+/// ambiguous, so the run then declines the seed and captures nothing.
+/// (Versions are monotone and minted at commit, so equal readings on
+/// both sides prove the pinned tree *is* that version's epoch.)
 pub(crate) fn evaluate_options_seeded(
     engine: &Engine,
     functions: &FunctionSet,
@@ -1181,81 +1190,88 @@ pub(crate) fn evaluate_options_seeded(
     engine.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
     let version_before = engine.inventory_version();
     let session = IoSession::new(&engine.tree);
+    let version = engine.inventory_version();
+    let pinned = [version];
+    let pinned = (version == version_before).then_some(&pinned[..]);
+    Ok(evaluate_on(
+        &session,
+        &engine.config,
+        functions,
+        options,
+        scratch,
+        pinned,
+        seed,
+        capture,
+    ))
+}
 
+/// The single evaluation code path, over any node source: one engine's
+/// [`IoSession`] or a sharded engine's
+/// [`ShardUnion`](crate::shard::ShardUnion). Dispatch is **uniform**:
+/// every configuration takes the same `seed`/`capture` arguments, and
+/// only the resumable one (SB, incremental maintenance, no capacities)
+/// honors them — it primes the skyline from `seed` when the seed is
+/// stamped with exactly the `pinned` version vector, and leaves this
+/// run's own [`EvalSeed`] (stamped with `pinned`) in `capture`. `pinned`
+/// is `None` when a mutation straddled the source's pin; the run then
+/// declines the seed and captures nothing rather than guess. Every other
+/// configuration silently declines both and runs cold, so callers (the
+/// service workers, the bench harnesses) never branch on the algorithm.
+/// Seeded and cold evaluation of the same request are
+/// score-bit-identical (see [`crate::seed`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn evaluate_on<R: NodeSource>(
+    src: &R,
+    config: &IndexConfig,
+    functions: &FunctionSet,
+    options: &RequestOptions,
+    scratch: &mut Scratch,
+    pinned: Option<&[u64]>,
+    seed: Option<&EvalSeed>,
+    capture: Option<&mut Option<EvalSeed>>,
+) -> Matching {
     if let Some(caps) = &options.capacities {
-        return Ok(run_capacity_on(&session, functions, caps, &options.exclude));
+        return run_capacity_on(src, functions, caps, &options.exclude);
     }
 
     match options.algorithm {
         Algorithm::Sb => {
-            let cfg = sb_config_of(engine, options);
+            let cfg = sb_config_of(config, options);
             match options.maintenance {
                 MaintenanceMode::Incremental => {
-                    // A mutation that straddled the session pin makes
-                    // the pinned epoch ambiguous: decline the seed and
-                    // capture nothing rather than guess. (Versions are
-                    // monotone and minted at commit, so equality here
-                    // proves the pinned tree *is* the `version` epoch.)
-                    let version = engine.inventory_version();
-                    let stable = version == version_before;
                     let part = seed
-                        .filter(|s| stable && s.parts.len() == 1 && s.usable_at(&[version]))
+                        .filter(|s| s.parts.len() == 1 && pinned.is_some_and(|v| s.usable_at(v)))
                         .map(|s| &s.parts[0]);
                     let mut captured: Option<SeedPart> = None;
-                    let slot = (capture.is_some() && stable).then_some(&mut captured);
-                    let matching = run_sb_seeded(
-                        &cfg,
-                        &session,
-                        functions,
-                        &options.exclude,
-                        scratch,
-                        part,
-                        slot,
-                    );
+                    let slot = (capture.is_some() && pinned.is_some()).then_some(&mut captured);
+                    let matching =
+                        run_sb_seeded(&cfg, src, functions, &options.exclude, scratch, part, slot);
                     if let Some(out) = capture {
-                        *out = captured.map(|p| EvalSeed {
-                            versions: vec![version],
+                        *out = captured.zip(pinned).map(|(p, versions)| EvalSeed {
+                            versions: versions.to_vec(),
                             parts: vec![p],
                         });
                     }
-                    Ok(matching)
+                    matching
                 }
-                MaintenanceMode::Rescan => Ok(run_rescan_on(
-                    &cfg,
-                    &session,
-                    functions,
-                    &options.exclude,
-                    scratch,
-                )),
+                MaintenanceMode::Rescan => {
+                    run_rescan_on(&cfg, src, functions, &options.exclude, scratch)
+                }
             }
         }
         Algorithm::BruteForce => match options.bf_strategy {
-            BfStrategy::Incremental => Ok(run_incremental_on(
-                &session,
-                functions,
-                &options.exclude,
-                scratch,
-            )),
-            BfStrategy::Restart => Ok(run_restart_on(
-                &session,
-                functions,
-                &options.exclude,
-                scratch,
-            )),
+            BfStrategy::Incremental => {
+                run_incremental_on(src, functions, &options.exclude, scratch)
+            }
+            BfStrategy::Restart => run_restart_on(src, functions, &options.exclude, scratch),
         },
-        Algorithm::Chain => Ok(run_chain_on(
-            &engine.config,
-            &session,
-            functions,
-            &options.exclude,
-            scratch,
-        )),
+        Algorithm::Chain => run_chain_on(config, src, functions, &options.exclude, scratch),
     }
 }
 
-fn sb_config_of(engine: &Engine, options: &RequestOptions) -> SkylineMatcher {
+pub(crate) fn sb_config_of(index: &IndexConfig, options: &RequestOptions) -> SkylineMatcher {
     SkylineMatcher {
-        index: engine.config.clone(),
+        index: index.clone(),
         multi_pair: options.multi_pair,
         best_pair: options.best_pair,
         maintenance: options.maintenance,
@@ -1408,7 +1424,7 @@ impl<'e> MatchRequest<'e, '_> {
         self.check_streamable()?;
         let session = IoSession::new(&self.engine.tree);
         Ok(stream_on(
-            &sb_config_of(self.engine, &self.options),
+            &sb_config_of(&self.engine.config, &self.options),
             session,
             self.functions,
             &self.options.exclude,
@@ -1433,7 +1449,7 @@ impl<'e> MatchRequest<'e, '_> {
         self.check_streamable()?;
         let session = IoSession::new(&self.engine.tree);
         Ok(stream_on(
-            &sb_config_of(self.engine, &self.options),
+            &sb_config_of(&self.engine.config, &self.options),
             session,
             self.functions,
             &self.options.exclude,
@@ -1477,12 +1493,6 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    /// Assemble an outcome (same-crate batch runners: the unsharded
-    /// batch path here and the sharded one in [`crate::shard`]).
-    pub(crate) fn from_parts(matchings: Vec<Matching>, metrics: BatchMetrics) -> BatchOutcome {
-        BatchOutcome { matchings, metrics }
-    }
-
     /// The matchings, one per request, **in input order**.
     pub fn matchings(&self) -> &[Matching] {
         &self.matchings

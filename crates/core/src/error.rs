@@ -102,6 +102,17 @@ pub enum MpqError {
     /// mutations are refused until a checkpoint repairs the log. Back
     /// off and retry after the storage recovers.
     StorageDegraded,
+    /// A sharded engine does not fit the shard-union page-id tag: more
+    /// than [`crate::MAX_SHARDS`] shards, or a shard whose page
+    /// file outgrew `2^24` pages.
+    ShardLimit {
+        /// What overflowed (`"shards"` or `"pages in one shard"`).
+        what: &'static str,
+        /// The offending count.
+        value: u64,
+        /// The largest count that fits.
+        max: u64,
+    },
 }
 
 impl From<std::io::Error> for MpqError {
@@ -163,6 +174,11 @@ impl std::fmt::Display for MpqError {
                 "storage is degraded after a durability failure; mutations are \
                  refused until a checkpoint repairs the log (reads still serve \
                  the last committed snapshot)"
+            ),
+            MpqError::ShardLimit { what, value, max } => write!(
+                f,
+                "sharded engine has {value} {what}; the shard-union page-id tag \
+                 addresses at most {max}"
             ),
         }
     }

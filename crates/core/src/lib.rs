@@ -82,10 +82,10 @@
 //!
 //! The [`shard`] module partitions the object set into `K` independent
 //! shards — each a full [`Engine`] with its own R-tree, buffer pool and
-//! WAL segment — and resolves the global matching with a scatter-gather
-//! best-pair merge whose per-shard score bounds skip shards that
-//! provably cannot produce the next winner. The sharded matching is
-//! bit-identical to the unsharded one; mutations route through a
+//! WAL segment — and evaluates the global matching over a
+//! [`ShardUnion`]: the shard trees joined under one synthetic root, so
+//! the unsharded algorithms run unchanged on the global skyline. The
+//! sharded matching is bit-identical to the unsharded one; mutations route through a
 //! pluggable [`Partitioner`] to exactly one shard, and the cache stamps
 //! results with a per-shard version vector so one shard's mutations
 //! never invalidate another shard's cached work.
@@ -131,8 +131,8 @@ pub use service::{
     ServiceConfig, ServiceMetrics, SubmitOptions, Ticket,
 };
 pub use shard::{
-    GridPartitioner, HashPartitioner, Partitioner, ShardGauges, ShardedEngine,
-    ShardedEngineBuilder, ShardedMatchRequest, ShardedStream,
+    GridPartitioner, HashPartitioner, Partitioner, ShardGauges, ShardUnion, ShardedEngine,
+    ShardedEngineBuilder, ShardedMatchRequest, ShardedStream, MAX_SHARDS,
 };
 pub use verify::{verify_stable, verify_weakly_stable};
 pub use wal::{Wal, WalRecord};

@@ -83,7 +83,7 @@ use crate::shard::{
 pub(crate) enum BackendRef<'e> {
     /// One unsharded engine.
     Single(&'e Engine),
-    /// A partitioned engine resolved by the scatter-gather merge.
+    /// A partitioned engine, evaluated over its shard union.
     Sharded(&'e ShardedEngine),
 }
 
@@ -104,6 +104,26 @@ impl<'e> BackendRef<'e> {
         match self {
             BackendRef::Single(e) => vec![e.mutation_log()],
             BackendRef::Sharded(s) => s.mutation_logs(),
+        }
+    }
+
+    /// Evaluate one request on this backend from the worker's
+    /// `scratch`, seeded and capturing as the job asks.
+    fn evaluate(
+        self,
+        functions: &FunctionSet,
+        options: &RequestOptions,
+        scratch: &mut Scratch,
+        seed: Option<&EvalSeed>,
+        capture: Option<&mut Option<EvalSeed>>,
+    ) -> Result<Matching, MpqError> {
+        match self {
+            BackendRef::Single(e) => {
+                evaluate_options_seeded(e, functions, options, scratch, seed, capture)
+            }
+            BackendRef::Sharded(s) => {
+                evaluate_sharded_options_seeded(s, functions, options, scratch, seed, capture)
+            }
         }
     }
 
@@ -1133,22 +1153,8 @@ impl<'a> ServiceCore<'a> {
         let seed = job.seed.as_deref().filter(|s| s.usable_at(&versions));
         let mut captured: Option<EvalSeed> = None;
         let capture = (job.group.key.is_some() && self.cached.is_some()).then_some(&mut captured);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match backend {
-            BackendRef::Single(engine) => evaluate_options_seeded(
-                engine,
-                &job.functions,
-                &job.options,
-                scratch,
-                seed,
-                capture,
-            ),
-            BackendRef::Sharded(sharded) => evaluate_sharded_options_seeded(
-                sharded,
-                &job.functions,
-                &job.options,
-                seed,
-                capture,
-            ),
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            backend.evaluate(&job.functions, &job.options, scratch, seed, capture)
         }))
         .unwrap_or_else(|_| {
             // The scratch may have been mid-mutation; replace it.
@@ -1328,8 +1334,8 @@ pub struct ServiceMetrics {
     /// for an unsharded engine (and in snapshots taken through a bare
     /// `ServiceCore`).
     pub shards: Vec<ShardGauges>,
-    /// Shards skipped by the scatter-gather merge's score-bound pruning
-    /// since spawn. Always zero for an unsharded engine.
+    /// Retired: always zero (see [`ShardedEngine::skipped_shards`]).
+    /// Kept for the `/metrics` schema until its version is bumped.
     pub skipped_shards: u64,
     /// Time since the service was spawned.
     pub uptime: Duration,
@@ -1702,7 +1708,7 @@ impl EngineService {
 
     /// Start a worker pool over a [`ShardedEngine`] — the same
     /// scheduling core, queue, cache and dedupe machinery, with every
-    /// evaluation resolved by the scatter-gather merge. Reached through
+    /// evaluation run over the engine's shard union. Reached through
     /// [`ShardedEngine::serve`].
     pub(crate) fn spawn_sharded(
         engine: Arc<ShardedEngine>,
@@ -1925,8 +1931,8 @@ impl ServiceClient {
     /// Submit a request built against the served [`ShardedEngine`].
     /// Same contract as [`ServiceClient::submit_with`] — validated now,
     /// cache-first (stamped with the per-shard version vector), deduped
-    /// in flight, and otherwise resolved by a worker running the
-    /// scatter-gather merge.
+    /// in flight, and otherwise resolved by a worker evaluating over the
+    /// shard union.
     pub fn submit_sharded_with(
         &self,
         request: ShardedMatchRequest<'_, '_>,

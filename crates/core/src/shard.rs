@@ -1,45 +1,38 @@
-//! Partitioned engine: per-shard R-trees with a scatter-gather
-//! best-pair merge (ROADMAP item 3).
+//! Partitioned engine: `K` per-shard R-trees evaluated as one tree.
 //!
-//! All three matchers reduce to repeatedly finding the best
-//! `(score desc, fid asc, oid asc)` pair over the surviving inventory —
-//! and that reduction decomposes cleanly over a *partitioned* object
-//! set: if every shard reports its locally best candidate pair, the
-//! globally best pair is the best of the candidates. The
-//! [`ShardedEngine`] exploits this with a scatter-gather merge:
+//! A [`ShardedEngine`] splits the inventory into `K` shards with a
+//! [`Partitioner`] (hash-by-oid by default, grid/space partitioning via
+//! [`GridPartitioner`]). Each shard is a full [`Engine`]: its own
+//! bulk-loaded R-tree, buffer pool, WAL segment and epoch snapshots. Every
+//! shard indexes **global** object ids natively, so leaves need no id
+//! translation.
 //!
-//! 1. **Partition.** A [`Partitioner`] (hash-by-oid by default,
-//!    pluggable grid/space partitioning via [`GridPartitioner`]) splits
-//!    the object set into `K` independent shards. Each shard is a full
-//!    [`Engine`]: its own bulk-loaded R-tree, buffer pool, WAL segment
-//!    and epoch snapshots — and each shard indexes **global** object
-//!    ids natively, so no id translation sits between the merge
-//!    protocol and the per-shard trees.
-//! 2. **Scatter.** Each evaluation round probes shards for their best
-//!    candidate pair (skyline + reverse top-1, exactly the canonical
-//!    greedy the unsharded capacity path runs).
-//! 3. **Gather + merge.** The driver picks the best candidate, emits
-//!    it, and broadcasts the assignment; only shards whose state the
-//!    assignment touched (the owner of the object, or any shard whose
-//!    cached candidate used the assigned function) re-probe next round.
-//! 4. **Bound pruning.** A shard's stale candidate score is a valid
-//!    *upper bound* on everything it can still produce (assignments
-//!    only remove objects and functions, and domination order implies
-//!    score order for non-negative weights), so a stale shard whose
-//!    bound is strictly below the current winner is **skipped** — the
-//!    Vlachou-style partition bound. Skips are counted in
-//!    [`ShardedEngine::skipped_shards`].
+//! ## Evaluation over a shard union
 //!
-//! The merge protocol is **message-shaped**: driver and shards exchange
-//! only candidate [`Pair`]s, assignment broadcasts and bounds — no
-//! shared mutable state — so shards can later live in separate
-//! processes (the north-star scale-out seam).
+//! SB only ever works on the skyline of the remaining objects, and the
+//! skyline of a partitioned set is not the union of the shards' local
+//! skylines. So sharding stays out of the algorithms altogether: a
+//! [`ShardUnion`] pins one [`IoSession`] per shard and presents the `K`
+//! trees as **one** [`NodeSource`] under a synthetic in-memory root,
+//! whose entries are the non-empty shards' root MBRs. The unsharded
+//! evaluators then run over the union unchanged — one BBS, one
+//! [`SkylineMaintainer`](mpq_skyline::SkylineMaintainer) over the global
+//! skyline, one reverse top-1 index — so a sharded SB evaluation does
+//! exactly the unsharded engine's loops and reverse top-1 calls, and BF,
+//! Chain, capacities and the rescan ablation come along for free. The
+//! canonical matching is unique, so the result is bit-identical to the
+//! unsharded engine's for every algorithm (asserted by
+//! `tests/shard_identity.rs`).
 //!
-//! Because the canonical stable matching is *unique* (deterministic
-//! tie-breaks end to end), one merge implementation serves all three
-//! algorithms: the sharded result is bit-identical to the unsharded
-//! engine's `sorted_pairs()` for SB, BF and Chain alike, under
-//! exclusions and capacities (asserted by `tests/shard_identity.rs`).
+//! Page ids inside the union carry their shard in the top
+//! `32 - PAGE_BITS` bits: inner nodes read through the union have their
+//! children re-tagged, leaves pass through untouched. The tag bounds the
+//! shape of a sharded engine: at most [`MAX_SHARDS`] shards, each with
+//! fewer than `2^24` pages. A shard count past the bound fails at build
+//! or open, a page file past it when an evaluation opens the union, both
+//! with [`MpqError::ShardLimit`] — never a panic or an aliased page. A
+//! `K = 1` union is the single shard session verbatim, with no synthetic
+//! root and no tags.
 //!
 //! ## Versioning under sharding
 //!
@@ -50,26 +43,28 @@
 //! entries with the whole vector: a mutation on shard A leaves a cached
 //! result's shard-B components untouched, and the per-shard
 //! [`MutationLog`]s prove irrelevant shard-A mutations harmless
-//! component-wise (see [`crate::ResultCache::get_with_logs`]).
+//! component-wise (see [`crate::ResultCache::get_with_logs`]). An
+//! [`EvalSeed`] captured over the union is one skyline snapshot stamped
+//! with the whole vector, so a mutation on any shard declines it.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use mpq_rtree::{IoSession, IoStats, PointSet};
-use mpq_skyline::SkylineMaintainer;
-use mpq_ta::{FunctionSet, ReverseTopOne};
+use mpq_rtree::{InnerNode, IoSession, IoStats, Node, NodeSource, PageId, PointSet};
+use mpq_ta::FunctionSet;
 
 use crate::cache::{MutationLog, RequestKey};
 use crate::engine::{
-    validate_options_shape, Algorithm, BatchMetrics, BatchOutcome, Engine, RequestOptions,
+    evaluate_on, run_batch, sb_config_of, validate_options_shape, Algorithm, BatchOutcome, Engine,
+    RequestOptions,
 };
 use crate::error::MpqError;
-use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
-use crate::seed::{EvalSeed, PeeledLog, SeedPart};
+use crate::matching::{IndexConfig, Matching};
+use crate::sb::{stream_on, SbStream, ScratchLease};
+use crate::scratch::Scratch;
+use crate::seed::EvalSeed;
 use crate::service::{EngineService, ServiceConfig};
 
 /// Manifest file name inside a sharded data directory.
@@ -127,9 +122,8 @@ impl Partitioner for HashPartitioner {
 
 /// Space partitioner: slice the `[0, 1]` preference space into `k`
 /// equal-width slabs along one axis (`shard = floor(point[axis] * k)`,
-/// clamped). Clusters spatially close objects — and therefore skyline
-/// candidates — into few shards, which the merge's bound pruning turns
-/// into skipped probes.
+/// clamped). Clusters spatially close objects into the same shard, so
+/// the shard roots' MBRs in the union overlap less than under hashing.
 ///
 /// Point-based routing means [`ShardedEngine::update_object`] may
 /// *migrate* an object between shards (a remove in one WAL plus an
@@ -206,8 +200,9 @@ impl<'o> ShardedEngineBuilder<'o> {
         self
     }
 
-    /// Number of shards `K >= 1` (default 1 — a degenerate but valid
-    /// partition, useful as the merge-overhead baseline).
+    /// Number of shards, `1 <= K <=` [`MAX_SHARDS`] (default 1 — a
+    /// degenerate but valid partition that evaluates over its single
+    /// shard's tree directly).
     pub fn shards(mut self, k: usize) -> ShardedEngineBuilder<'o> {
         self.shards = k;
         self
@@ -237,6 +232,7 @@ impl<'o> ShardedEngineBuilder<'o> {
                 "a sharded engine needs at least one shard",
             ));
         }
+        check_shard_count(self.shards)?;
         let objects = self.objects.ok_or(MpqError::EmptyObjects)?;
         if objects.is_empty() {
             return Err(MpqError::EmptyObjects);
@@ -264,7 +260,9 @@ impl<'o> ShardedEngineBuilder<'o> {
             if let Some(dir) = &self.data_dir {
                 b = b.data_dir(shard_dir(dir, s));
             }
-            shards.push(b.build()?);
+            let shard = b.build()?;
+            check_shard_pages(&shard)?;
+            shards.push(shard);
         }
         if let Some(dir) = &self.data_dir {
             write_manifest(dir, k, &*self.partitioner)?;
@@ -276,7 +274,6 @@ impl<'o> ShardedEngineBuilder<'o> {
             next_oid: AtomicU64::new(objects.len() as u64),
             data_dir: self.data_dir,
             evaluations: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
             mutator: Mutex::new(()),
         })
     }
@@ -327,8 +324,8 @@ fn read_manifest(dir: &Path) -> Result<(usize, Arc<dyn Partitioner>), MpqError> 
 
 /// A partitioned matching engine: `K` independent [`Engine`] shards
 /// (each with its own R-tree, buffer pool, WAL segment and epoch
-/// snapshots) behind the familiar evaluation surface, resolved by a
-/// scatter-gather best-pair merge (see the [module docs](self)).
+/// snapshots) behind the familiar evaluation surface, evaluated as one
+/// tree over a [`ShardUnion`] (see the [module docs](self)).
 ///
 /// `ShardedEngine` is `Sync` exactly like [`Engine`]: share it behind
 /// an `Arc` and evaluate requests concurrently; mutations are
@@ -342,11 +339,8 @@ pub struct ShardedEngine {
     /// any shard. Removal never recycles an id.
     next_oid: AtomicU64,
     data_dir: Option<PathBuf>,
-    /// Evaluations actually run through the merge driver.
+    /// Evaluations actually run over the shard union.
     evaluations: AtomicU64,
-    /// Shard probes skipped because the shard's score bound proved it
-    /// could not produce the round's winner.
-    skipped: AtomicU64,
     /// Serializes mutations (id minting + routing must be atomic).
     mutator: Mutex<()>,
 }
@@ -431,20 +425,21 @@ impl ShardedEngine {
         self.shards.iter().map(Engine::mutation_log).collect()
     }
 
-    /// Evaluations actually run through the merge driver (cache hits
+    /// Evaluations actually run over the shard union (cache hits
     /// served by a fronting service do not count).
     #[inline]
     pub fn evaluation_count(&self) -> u64 {
         self.evaluations.load(AtomicOrdering::Relaxed)
     }
 
-    /// How many per-shard probes the merge skipped because the shard's
-    /// score upper bound proved it could not win the round — the
-    /// observable for partition-bound effectiveness (plotted by the
-    /// `shard_scaling` bench).
+    /// Retired: always 0. It counted shard probes that the old
+    /// per-shard best-pair merge skipped by a score bound; evaluation
+    /// over a [`ShardUnion`] has no per-shard probes to skip. Kept, with
+    /// [`ServiceMetrics::skipped_shards`](crate::ServiceMetrics) and the
+    /// `/metrics` field, until the metrics schema version is bumped.
     #[inline]
     pub fn skipped_shards(&self) -> u64 {
-        self.skipped.load(AtomicOrdering::Relaxed)
+        0
     }
 
     /// True iff the shards persist to a data directory.
@@ -481,9 +476,12 @@ impl ShardedEngine {
     ) -> Result<ShardedEngine, MpqError> {
         let dir = dir.as_ref();
         let (k, partitioner) = read_manifest(dir)?;
+        check_shard_count(k)?;
         let mut shards = Vec::with_capacity(k);
         for s in 0..k {
-            shards.push(Engine::open_shard(&shard_dir(dir, s), config.clone())?);
+            let shard = Engine::open_shard(&shard_dir(dir, s), config.clone())?;
+            check_shard_pages(&shard)?;
+            shards.push(shard);
         }
         if shards.iter().all(|s| s.n_objects() == 0) {
             return Err(MpqError::EmptyObjects);
@@ -496,7 +494,6 @@ impl ShardedEngine {
             next_oid: AtomicU64::new(next_oid),
             data_dir: Some(dir.to_path_buf()),
             evaluations: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
             mutator: Mutex::new(()),
         })
     }
@@ -604,26 +601,24 @@ impl ShardedEngine {
         self.request(functions).evaluate()
     }
 
-    /// Progressive evaluation: stable pairs are yielded as soon as the
-    /// merge resolves them, in canonical (descending) order. Mirrors
-    /// [`Engine::stream`]'s request shape: SB with incremental
-    /// maintenance, no capacities.
+    /// Progressive SB evaluation with default options: stable pairs are
+    /// yielded per loop, in exactly the unsharded stream's order.
+    /// Shorthand for [`ShardedMatchRequest::stream`].
     pub fn stream<'e>(&'e self, functions: &FunctionSet) -> Result<ShardedStream<'e>, MpqError> {
         self.request(functions).stream()
     }
 
     /// Evaluate independent requests on a scoped worker pool, returning
-    /// matchings **in input order** plus aggregated [`BatchMetrics`] —
-    /// the sharded mirror of [`Engine::evaluate_batch`]. `threads == 0`
-    /// means one worker per available core.
+    /// matchings **in input order** plus aggregated
+    /// [`BatchMetrics`](crate::BatchMetrics) — the same batch runner as
+    /// [`Engine::evaluate_batch`]. `threads == 0` means one worker per
+    /// available core.
     pub fn evaluate_batch(
         &self,
         requests: &[ShardedMatchRequest<'_, '_>],
         threads: usize,
     ) -> Result<BatchOutcome, MpqError> {
         let wall_start = Instant::now();
-        let n = requests.len();
-        let threads = crate::service::resolved_workers(threads).clamp(1, n.max(1));
         for request in requests {
             if !std::ptr::eq(request.engine, self) {
                 return Err(MpqError::UnsupportedRequest(
@@ -632,45 +627,13 @@ impl ShardedEngine {
             }
             request.validate()?;
         }
-        let next = AtomicU64::new(0);
-        let results: Vec<Mutex<Option<Matching>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, AtomicOrdering::Relaxed) as usize;
-                    if i >= n {
-                        break;
-                    }
-                    let m = run_sharded_merge_seeded(
-                        self,
-                        requests[i].functions,
-                        &requests[i].options,
-                        None,
-                        None,
-                    );
-                    *lock(&results[i]) = Some(m);
-                });
-            }
-        });
-        let matchings: Vec<Matching> = results
-            .into_iter()
-            .map(|m| lock(&m).take().expect("every request evaluated"))
-            .collect();
-        let mut metrics = BatchMetrics {
+        let parts: Vec<_> = requests.iter().map(|r| (r.functions, &r.options)).collect();
+        run_batch(
+            crate::service::BackendRef::Sharded(self),
+            &parts,
             threads,
-            requests: n,
-            ..BatchMetrics::default()
-        };
-        for m in &matchings {
-            let r = m.metrics();
-            metrics.io += r.io;
-            metrics.cpu_total += r.elapsed;
-            metrics.loops += r.loops;
-            metrics.top1_searches += r.top1_searches;
-            metrics.reverse_top1_calls += r.reverse_top1_calls;
-        }
-        metrics.wall = wall_start.elapsed();
-        Ok(BatchOutcome::from_parts(matchings, metrics))
+            wall_start,
+        )
     }
 
     /// Start a long-lived [`EngineService`] over this sharded engine —
@@ -708,46 +671,42 @@ pub(crate) fn validate_sharded_options(
     validate_options_shape(engine.oid_bound() as usize, options)
 }
 
-/// The one sharded evaluation path: validate, then run the
-/// scatter-gather merge (all algorithms produce the canonical matching,
-/// so the merge serves every [`Algorithm`]).
-pub(crate) fn evaluate_sharded_options(
-    engine: &ShardedEngine,
-    functions: &FunctionSet,
-    options: &RequestOptions,
-) -> Result<Matching, MpqError> {
-    evaluate_sharded_options_seeded(engine, functions, options, None, None)
-}
-
-/// Seed-capable form of [`evaluate_sharded_options`] — the sharded
-/// mirror of [`crate::engine::evaluate_options_seeded`], with the same
-/// uniform dispatch contract. An [`EvalSeed`] here carries one
-/// [`SeedPart`] per shard (the partitioner already split the inventory;
-/// seeds follow that split), each pinned to its shard's version
-/// component; every shard independently primes from its part or falls
-/// back to a cold BBS build, and the unchanged scatter-gather merge
-/// runs over the primed probes. Capacitated requests decline seeds and
-/// capture nothing. Because the merge serves every [`Algorithm`]
-/// through the same probes, the sharded path is resumable for all of
-/// them.
+/// The sharded evaluation path — the mirror of
+/// [`crate::engine::evaluate_options_seeded`]: validate, pin every shard
+/// in one [`ShardUnion`], and run the unsharded evaluator over it. The
+/// version vector is read on both sides of the pin; if a mutation
+/// straddled it, the run declines `seed` and captures nothing. A seed
+/// captured here is one skyline snapshot stamped with the whole vector.
 pub(crate) fn evaluate_sharded_options_seeded(
     engine: &ShardedEngine,
     functions: &FunctionSet,
     options: &RequestOptions,
+    scratch: &mut Scratch,
     seed: Option<&EvalSeed>,
     capture: Option<&mut Option<EvalSeed>>,
 ) -> Result<Matching, MpqError> {
     validate_sharded_options(engine, functions, options)?;
-    Ok(run_sharded_merge_seeded(
-        engine, functions, options, seed, capture,
+    engine.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
+    let versions_before = engine.version_vector();
+    let union = ShardUnion::open(&engine.shards)?;
+    let versions = engine.version_vector();
+    let pinned = (versions == versions_before).then_some(&versions[..]);
+    Ok(evaluate_on(
+        &union,
+        engine.shards[0].index_config(),
+        functions,
+        options,
+        scratch,
+        pinned,
+        seed,
+        capture,
     ))
 }
 
 /// One evaluation against a prepared [`ShardedEngine`], configured
-/// fluently — the sharded mirror of [`crate::MatchRequest`]. All three
-/// algorithms resolve through the same merge (the canonical matching is
-/// unique), so [`ShardedMatchRequest::algorithm`] only affects request
-/// validation and cache identity.
+/// fluently — the sharded mirror of [`crate::MatchRequest`]. The
+/// selected algorithm runs over the [`ShardUnion`] exactly as it runs
+/// over one unsharded tree.
 #[derive(Debug)]
 pub struct ShardedMatchRequest<'e, 'f> {
     engine: &'e ShardedEngine,
@@ -756,8 +715,8 @@ pub struct ShardedMatchRequest<'e, 'f> {
 }
 
 impl<'e> ShardedMatchRequest<'e, '_> {
-    /// Select the algorithm (default [`Algorithm::Sb`]). The sharded
-    /// merge produces the identical canonical matching for all three.
+    /// Select the algorithm (default [`Algorithm::Sb`]). All three
+    /// produce the identical canonical matching.
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.options.algorithm = algorithm;
         self
@@ -800,20 +759,26 @@ impl<'e> ShardedMatchRequest<'e, '_> {
         validate_sharded_options(self.engine, self.functions, &self.options)
     }
 
-    /// Validate and evaluate the request through the scatter-gather
-    /// merge. Pairs are emitted in canonical (descending) order;
-    /// the matching is bit-identical to the unsharded engine's
-    /// canonical result.
+    /// Validate and evaluate the request over the shard union. The
+    /// matching is bit-identical to the unsharded engine's canonical
+    /// result.
     pub fn evaluate(&self) -> Result<Matching, MpqError> {
-        evaluate_sharded_options(self.engine, self.functions, &self.options)
+        evaluate_sharded_options_seeded(
+            self.engine,
+            self.functions,
+            &self.options,
+            &mut Scratch::new(),
+            None,
+            None,
+        )
     }
 
     /// Seed-capable [`ShardedMatchRequest::evaluate`] — the sharded
-    /// mirror of [`crate::MatchRequest::evaluate_seeded`]: primes every
-    /// shard's probe from its slice of `seed` (when the seed is still
-    /// pinned to the engine's current version vector; cold otherwise)
-    /// and returns the per-shard [`EvalSeed`] this evaluation captured.
-    /// Seeded and cold evaluation are score-bit-identical.
+    /// mirror of [`crate::MatchRequest::evaluate_seeded`]: primes the
+    /// run from `seed` when the seed is still pinned to the engine's
+    /// current version vector (cold otherwise) and returns the
+    /// [`EvalSeed`] this evaluation captured. Seeded and cold evaluation
+    /// are score-bit-identical.
     pub fn evaluate_seeded(
         &self,
         seed: Option<&EvalSeed>,
@@ -823,14 +788,17 @@ impl<'e> ShardedMatchRequest<'e, '_> {
             self.engine,
             self.functions,
             &self.options,
+            &mut Scratch::new(),
             seed,
             Some(&mut captured),
         )?;
         Ok((matching, captured))
     }
 
-    /// Progressive evaluation: yield stable pairs as the merge resolves
-    /// them. Mirrors [`crate::MatchRequest::stream`]'s shape requirements.
+    /// Progressive SB evaluation over the shard union: the unsharded
+    /// [`SbStream`], yielding each loop's stable pairs in canonical
+    /// order. Mirrors [`crate::MatchRequest::stream`]'s shape
+    /// requirements.
     pub fn stream(&self) -> Result<ShardedStream<'e>, MpqError> {
         self.validate()?;
         if self.options.algorithm != Algorithm::Sb {
@@ -843,12 +811,17 @@ impl<'e> ShardedMatchRequest<'e, '_> {
                 "streaming does not support capacities",
             ));
         }
+        let union = ShardUnion::open(&self.engine.shards)?;
         self.engine
             .evaluations
             .fetch_add(1, AtomicOrdering::Relaxed);
-        Ok(ShardedStream {
-            state: MergeState::new(self.engine, self.functions, &self.options),
-        })
+        Ok(stream_on(
+            &sb_config_of(self.engine.shards[0].index_config(), &self.options),
+            union,
+            self.functions,
+            &self.options.exclude,
+            ScratchLease::fresh(),
+        ))
     }
 }
 
@@ -868,430 +841,168 @@ pub struct ShardGauges {
     pub wal_bytes: u64,
 }
 
-/// Progressive sharded evaluation: an iterator yielding stable pairs in
-/// canonical (descending) order as the scatter-gather merge resolves
-/// them (the sharded mirror of [`crate::SbStream`]).
-pub struct ShardedStream<'e> {
-    state: MergeState<'e>,
+/// Progressive sharded evaluation: the unsharded [`SbStream`] over a
+/// [`ShardUnion`], so a `K`-shard stream yields the same pairs in the
+/// same per-loop canonical order as a `K = 1` one.
+pub type ShardedStream<'e> = SbStream<'static, ShardUnion<'e>>;
+
+/// Bits of a union page id that address a page inside its shard; the
+/// bits above them carry the shard.
+const PAGE_BITS: u32 = 24;
+/// Pages one shard may span for its ids to fit the union's page-id tag.
+const MAX_SHARD_PAGES: u64 = 1 << PAGE_BITS;
+/// Most shards a [`ShardedEngine`] may have: one shard tag per value of
+/// the top `32 - 24` page-id bits, less the synthetic root's tag.
+pub const MAX_SHARDS: usize = (1 << (32 - PAGE_BITS)) - 1;
+/// The synthetic root's page id: the one tag no shard uses, page 0
+/// (never [`PageId::INVALID`], which is page `2^24 - 1` of that tag).
+const ROOT_PID: PageId = PageId((MAX_SHARDS as u32) << PAGE_BITS);
+
+/// The union page id of page `pid` of shard `shard`.
+fn tag(shard: usize, pid: PageId) -> PageId {
+    PageId(((shard as u32) << PAGE_BITS) | pid.0)
 }
 
-impl Iterator for ShardedStream<'_> {
-    type Item = Pair;
-
-    fn next(&mut self) -> Option<Pair> {
-        self.state.next_pair()
-    }
+/// Split a union page id into its shard and its page inside the shard.
+fn untag(pid: PageId) -> (usize, PageId) {
+    (
+        (pid.0 >> PAGE_BITS) as usize,
+        PageId(pid.0 & (MAX_SHARD_PAGES as u32 - 1)),
+    )
 }
 
-/// One shard's evaluator state: its own working function-set copy,
-/// reverse top-1 index, skyline maintainer, cached best-function table
-/// and capacity view. Everything the driver learns from it travels as
-/// candidate [`Pair`] messages; everything it learns from the driver
-/// travels as assignment broadcasts.
-struct ShardProbe<'e> {
-    io: IoSession<'e>,
-    io_start: IoStats,
-    fs: FunctionSet,
-    rt1: ReverseTopOne,
-    sky: SkylineMaintainer,
-    /// Remaining capacity by global oid; only this shard's oids are
-    /// ever consulted (each shard owns a disjoint slice of the id
-    /// space, so a full-length vector is just the simplest container).
-    remaining: Vec<u32>,
-    fbest: HashMap<u64, (u32, f64)>,
-    reverse_top1_calls: u64,
+/// Refuse a shard count the union's page-id tag cannot address.
+fn check_shard_count(k: usize) -> Result<(), MpqError> {
+    if k > MAX_SHARDS {
+        return Err(MpqError::ShardLimit {
+            what: "shards",
+            value: k as u64,
+            max: MAX_SHARDS as u64,
+        });
+    }
+    Ok(())
 }
 
-impl<'e> ShardProbe<'e> {
-    /// Build a probe cold or primed from this shard's [`SeedPart`].
-    ///
-    /// `seed` is `(part, version)` — the part is honored only when the
-    /// shard's inventory version still equals `version` on both sides
-    /// of the I/O-session pin (the part's snapshot references pages of
-    /// exactly that epoch). `capture` receives this probe's own
-    /// post-peel snapshot, stamped with the pinned version — again only
-    /// when no mutation straddled the pin.
-    fn new(
-        engine: &'e Engine,
-        functions: &FunctionSet,
-        remaining: Vec<u32>,
-        seed: Option<(&SeedPart, u64)>,
-        mut capture: Option<&mut Option<(SeedPart, u64)>>,
-    ) -> ShardProbe<'e> {
-        let v_before = engine.inventory_version();
-        let io = IoSession::new(engine.tree());
-        let stable = engine.inventory_version() == v_before;
-        if !stable {
-            capture = None;
-        }
-        let io_start = io.stats();
-        let fs = functions.clone();
-        let rt1 = ReverseTopOne::build(&fs);
-        let mut peeled_log: Vec<(u64, Box<[f64]>)> = Vec::new();
-        let capturing = capture.is_some();
-        let sky = match seed.filter(|&(_, v)| stable && v == v_before) {
-            None => SkylineMaintainer::build(&io),
-            Some((part, _)) => {
-                // Resume: re-admit the seed's peeled objects this
-                // request still wants, carry the rest into the capture
-                // journal (the maintainer's content afterwards is what
-                // a cold build over the available inventory yields).
-                let mut m = part.sky.clone();
-                for (oid, point) in &part.peeled {
-                    if remaining[*oid as usize] == 0 {
-                        if capturing {
-                            peeled_log.push((*oid, point.clone()));
-                        }
-                    } else {
-                        m.insert(*oid, point.clone());
-                    }
-                }
-                m
-            }
-        };
-        let mut probe = ShardProbe {
-            io,
-            io_start,
-            fs,
-            rt1,
-            sky,
-            remaining,
-            fbest: HashMap::new(),
-            reverse_top1_calls: 0,
-        };
-        // Objects unavailable from the start (zero capacity / excluded)
-        // must leave the skyline before the first probe; removal can
-        // promote other unavailable objects, so iterate.
-        let dead: Vec<u64> = probe
-            .sky
-            .iter()
-            .filter(|e| probe.remaining[e.oid as usize] == 0)
-            .map(|e| e.oid)
-            .collect();
-        if capturing {
-            for &oid in &dead {
-                let point = probe.sky.get(oid).expect("member being peeled");
-                peeled_log.push((oid, point.into()));
-            }
-        }
-        probe.peel(dead, capturing.then_some(&mut peeled_log));
-        if let Some(slot) = capture {
-            *slot = Some((
-                SeedPart {
-                    sky: probe.sky.clone(),
-                    peeled: peeled_log,
-                },
-                v_before,
-            ));
-        }
-        probe
-    }
-
-    /// Remove exhausted objects from the skyline, peeling promoted
-    /// objects that are themselves exhausted (mirrors the unsharded
-    /// capacity path exactly). When `peeled` is provided (seed
-    /// capture), it receives every object this call removes.
-    fn peel(&mut self, mut to_remove: Vec<u64>, mut peeled: Option<&mut PeeledLog>) {
-        while !to_remove.is_empty() {
-            let promoted = self.sky.remove(&to_remove, &self.io);
-            to_remove.clear();
-            for (oid, point) in promoted {
-                if self.remaining[oid as usize] == 0 {
-                    to_remove.push(oid);
-                    if let Some(log) = peeled.as_deref_mut() {
-                        log.push((oid, point));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Scatter message: compute (or serve from the `fbest` cache) the
-    /// shard's current best candidate pair. `None` means the shard is
-    /// exhausted — its skyline is empty and can never refill.
-    fn probe(&mut self) -> Option<Pair> {
-        if self.fs.n_alive() == 0 {
-            return None;
-        }
-        let mut best: Option<Pair> = None;
-        for e in self.sky.iter() {
-            let &mut (fid, score) = match self.fbest.entry(e.oid) {
-                Entry::Occupied(o) => o.into_mut(),
-                Entry::Vacant(v) => {
-                    self.reverse_top1_calls += 1;
-                    let b = self
-                        .rt1
-                        .best_for(&self.fs, e.point)
-                        .expect("functions remain");
-                    v.insert(b)
-                }
-            };
-            let cand = Pair {
-                fid,
-                oid: e.oid,
-                score,
-            };
-            if best.as_ref().is_none_or(|b| cand.beats(b)) {
-                best = Some(cand);
-            }
-        }
-        best
-    }
-
-    /// Assignment broadcast: the global winner is `pair`. Every shard
-    /// retires the assigned function; the owner additionally consumes
-    /// one capacity unit and retires the object when exhausted. Returns
-    /// true iff this shard owned the object.
-    fn assign(&mut self, pair: &Pair) -> bool {
-        self.fs.remove(pair.fid);
-        // cached candidates computed against the retired function are
-        // stale
-        self.fbest.retain(|_, (fid, _)| *fid != pair.fid);
-        let owned = self.sky.contains(pair.oid);
-        if owned {
-            self.remaining[pair.oid as usize] -= 1;
-            if self.remaining[pair.oid as usize] == 0 {
-                self.fbest.remove(&pair.oid);
-                self.peel(vec![pair.oid], None);
-            }
-        }
-        owned
-    }
+/// Refuse a shard whose page ids no longer fit the union's page-id tag.
+fn check_shard_pages(shard: &Engine) -> Result<(), MpqError> {
+    check_page_bound(u64::from(shard.tree().page_bound()))
 }
 
-/// Driver state of one scatter-gather merge, usable both as a one-shot
-/// evaluation (drain it) and as a progressive stream (pull pairs).
-struct MergeState<'e> {
-    engine: &'e ShardedEngine,
-    shards: Vec<ShardProbe<'e>>,
-    /// Last gathered candidate per shard. For a stale shard the stored
-    /// score doubles as the shard's upper bound (per-shard best scores
-    /// are non-increasing over assignments).
-    candidates: Vec<Option<Pair>>,
-    /// Shards whose cached candidate may have changed since gathering.
-    stale: Vec<bool>,
-    /// Shards whose skyline drained — they can never produce candidates
-    /// again and are excluded from refreshes.
-    exhausted: Vec<bool>,
-    rounds: u64,
+fn check_page_bound(page_bound: u64) -> Result<(), MpqError> {
+    if page_bound > MAX_SHARD_PAGES {
+        return Err(MpqError::ShardLimit {
+            what: "pages in one shard",
+            value: page_bound,
+            max: MAX_SHARD_PAGES,
+        });
+    }
+    Ok(())
 }
 
-impl<'e> MergeState<'e> {
-    fn new(
-        engine: &'e ShardedEngine,
-        functions: &FunctionSet,
-        options: &RequestOptions,
-    ) -> MergeState<'e> {
-        MergeState::new_seeded(engine, functions, options, None, false).0
-    }
+/// The `K` shard trees of a [`ShardedEngine`], pinned at one epoch each
+/// and presented as a single [`NodeSource`]: the unsharded evaluators
+/// run over it unchanged (see the [module docs](self)).
+///
+/// The root is synthetic and lives in memory: one entry per non-empty
+/// shard, holding that shard's root MBR and shard-tagged root page.
+/// Reading a tagged page reads it through the shard's own
+/// [`IoSession`]; an inner node's children are re-tagged on the way
+/// out, a leaf passes through (its object ids are already global).
+/// [`NodeSource::io_snapshot`] sums the shard sessions. With one shard
+/// the union is that shard's session verbatim.
+pub struct ShardUnion<'e> {
+    sessions: Vec<IoSession<'e>>,
+    /// The synthetic root; `None` for a single shard.
+    root: Option<Arc<Node>>,
+}
 
-    /// [`MergeState::new`] with per-shard seed priming and capture:
-    /// shard `i` primes from `seed.parts[i]` (when still pinned to the
-    /// shard's current version) and, when `capture` is set, reports its
-    /// own post-peel snapshot. The assembled [`EvalSeed`] is returned
-    /// only if *every* shard captured — a partial seed cannot resume a
-    /// whole evaluation.
-    fn new_seeded(
-        engine: &'e ShardedEngine,
-        functions: &FunctionSet,
-        options: &RequestOptions,
-        seed: Option<&EvalSeed>,
-        capture: bool,
-    ) -> (MergeState<'e>, Option<EvalSeed>) {
-        let oid_bound = engine.oid_bound() as usize;
-        let mut remaining: Vec<u32> = match &options.capacities {
-            Some(caps) => caps.clone(),
-            None => vec![1; oid_bound],
-        };
-        for &oid in &options.exclude {
-            if let Some(slot) = remaining.get_mut(oid as usize) {
-                *slot = 0;
-            }
-        }
-        let k = engine.shards.len();
-        // Capacitated requests are not resumable (the probes peel by
-        // remaining capacity, which a seed snapshot does not model).
-        let seedable = options.capacities.is_none();
-        let capture = capture && seedable;
-        let seed = seed.filter(|s| seedable && s.parts.len() == k && s.versions.len() == k);
-        let mut captures: Vec<Option<(SeedPart, u64)>> = (0..k).map(|_| None).collect();
-        let mut shards: Vec<Option<ShardProbe<'e>>> = (0..k).map(|_| None).collect();
-        let mut candidates: Vec<Option<Pair>> = vec![None; k];
-        if k == 1 {
-            let mut probe = ShardProbe::new(
-                &engine.shards[0],
-                functions,
-                remaining,
-                seed.map(|s| (&s.parts[0], s.versions[0])),
-                capture.then_some(&mut captures[0]),
-            );
-            candidates[0] = probe.probe();
-            shards[0] = Some(probe);
-        } else {
-            // Initial scatter: build and probe every shard in parallel
-            // (the expensive round — later rounds refresh only the
-            // shards an assignment touched).
-            std::thread::scope(|scope| {
-                for ((((slot, cand), shard), cap), i) in shards
-                    .iter_mut()
-                    .zip(candidates.iter_mut())
-                    .zip(&engine.shards)
-                    .zip(captures.iter_mut())
-                    .zip(0..)
-                {
-                    let remaining = remaining.clone();
-                    let part = seed.map(|s| (&s.parts[i], s.versions[i]));
-                    scope.spawn(move || {
-                        let mut probe = ShardProbe::new(
-                            shard,
-                            functions,
-                            remaining,
-                            part,
-                            capture.then_some(cap),
-                        );
-                        *cand = probe.probe();
-                        *slot = Some(probe);
-                    });
-                }
+impl<'e> ShardUnion<'e> {
+    /// Pin every shard's current epoch and join the trees under one
+    /// synthetic root. Fails with [`MpqError::ShardLimit`] if a
+    /// non-empty shard's pages outgrew the page-id tag.
+    fn open(shards: &'e [Engine]) -> Result<ShardUnion<'e>, MpqError> {
+        let sessions: Vec<IoSession<'e>> =
+            shards.iter().map(|s| IoSession::new(s.tree())).collect();
+        if sessions.len() == 1 {
+            return Ok(ShardUnion {
+                sessions,
+                root: None,
             });
         }
-        let shards: Vec<ShardProbe<'e>> = shards
-            .into_iter()
-            .map(|s| s.expect("every shard probed"))
-            .collect();
-        let captured = if capture && captures.iter().all(Option::is_some) {
-            let (parts, versions): (Vec<SeedPart>, Vec<u64>) = captures
-                .into_iter()
-                .map(|c| c.expect("just checked"))
-                .unzip();
-            Some(EvalSeed { versions, parts })
-        } else {
-            None
-        };
-        let exhausted: Vec<bool> = candidates.iter().map(Option::is_none).collect();
-        (
-            MergeState {
-                engine,
-                shards,
-                candidates,
-                stale: vec![false; k],
-                exhausted,
-                rounds: 0,
-            },
-            captured,
-        )
-    }
-
-    /// Resolve and emit the next globally best pair, or `None` when the
-    /// matching is complete.
-    fn next_pair(&mut self) -> Option<Pair> {
-        if self.shards.is_empty() || self.shards[0].fs.n_alive() == 0 {
-            return None;
+        let mut entries = Vec::with_capacity(sessions.len());
+        let mut level = 1;
+        for (s, (shard, session)) in shards.iter().zip(&sessions).enumerate() {
+            if session.is_empty() {
+                continue;
+            }
+            check_shard_pages(shard)?;
+            let pid = session.root_page();
+            let node = session.read_node(pid);
+            level = level.max(node.level() + 1);
+            entries.push((node.mbr(), tag(s, pid)));
         }
-        let k = self.shards.len();
-        // Gather/merge loop: the best *fresh* candidate is the winner
-        // once every stale shard either re-probed or was pruned by its
-        // bound. A stale shard's previous candidate score bounds
-        // everything it can still produce, so `bound < winner.score`
-        // (strictly — an equal score could still win the fid/oid
-        // tie-break) proves the shard irrelevant this round.
-        let winner = loop {
-            let best = self
-                .candidates
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !self.stale[*i])
-                .filter_map(|(_, c)| *c)
-                .fold(None, |acc: Option<Pair>, c| match acc {
-                    Some(b) if !c.beats(&b) => Some(b),
-                    _ => Some(c),
-                });
-            let mut refreshed = false;
-            for i in 0..k {
-                if !self.stale[i] || self.exhausted[i] {
-                    continue;
-                }
-                let pruned = match (&self.candidates[i], &best) {
-                    (Some(c), Some(w)) => c.score < w.score,
-                    _ => false,
-                };
-                if pruned {
-                    self.engine.skipped.fetch_add(1, AtomicOrdering::Relaxed);
-                    continue;
-                }
-                self.candidates[i] = self.shards[i].probe();
-                if self.candidates[i].is_none() {
-                    self.exhausted[i] = true;
-                }
-                self.stale[i] = false;
-                refreshed = true;
-            }
-            if !refreshed {
-                break best;
-            }
-        };
-        let pair = winner?;
-        self.rounds += 1;
-        // Broadcast the assignment; shards whose cached candidate used
-        // the retired function — and the owner — must re-probe before
-        // their candidate competes again.
-        for i in 0..k {
-            let owned = self.shards[i].assign(&pair);
-            let fid_hit = self.candidates[i].is_some_and(|c| c.fid == pair.fid);
-            if (owned || fid_hit) && !self.exhausted[i] {
-                self.stale[i] = true;
-            }
+        let mut root = InnerNode::new(shards[0].dim(), level);
+        for (mbr, pid) in &entries {
+            root.push(&mbr.lo, &mbr.hi, *pid);
         }
-        Some(pair)
-    }
-
-    /// Summed per-shard I/O since the probes were built.
-    fn io_total(&self) -> IoStats {
-        self.shards
-            .iter()
-            .map(|s| s.io.stats().since(s.io_start))
-            .fold(IoStats::default(), |a, b| a + b)
-    }
-
-    fn reverse_top1_total(&self) -> u64 {
-        self.shards.iter().map(|s| s.reverse_top1_calls).sum()
+        Ok(ShardUnion {
+            sessions,
+            root: Some(Arc::new(Node::Inner(root))),
+        })
     }
 }
 
-/// Run one full scatter-gather merge (the sharded mirror of the
-/// unsharded engine's single evaluation path). The caller has already
-/// validated the request shape.
-fn run_sharded_merge_seeded(
-    engine: &ShardedEngine,
-    functions: &FunctionSet,
-    options: &RequestOptions,
-    seed: Option<&EvalSeed>,
-    capture: Option<&mut Option<EvalSeed>>,
-) -> Matching {
-    engine.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
-    let start = Instant::now();
-    let (mut state, captured) =
-        MergeState::new_seeded(engine, functions, options, seed, capture.is_some());
-    if let Some(out) = capture {
-        *out = captured;
+impl NodeSource for ShardUnion<'_> {
+    #[inline]
+    fn dim(&self) -> usize {
+        self.sessions[0].dim()
     }
-    let mut pairs = Vec::new();
-    while let Some(p) = state.next_pair() {
-        pairs.push(p);
+
+    #[inline]
+    fn root_page(&self) -> PageId {
+        match self.root {
+            Some(_) => ROOT_PID,
+            None => self.sessions[0].root_page(),
+        }
     }
-    let metrics = RunMetrics {
-        elapsed: start.elapsed(),
-        io: state.io_total(),
-        loops: state.rounds,
-        reverse_top1_calls: state.reverse_top1_total(),
-        ..RunMetrics::default()
-    };
-    Matching::new(pairs, metrics)
+
+    fn len(&self) -> u64 {
+        self.sessions.iter().map(NodeSource::len).sum()
+    }
+
+    fn read_node(&self, pid: PageId) -> Arc<Node> {
+        let Some(root) = &self.root else {
+            return self.sessions[0].read_node(pid);
+        };
+        if pid == ROOT_PID {
+            return Arc::clone(root);
+        }
+        let (s, local) = untag(pid);
+        let node = self.sessions[s].read_node(local);
+        match &*node {
+            Node::Leaf(_) => node,
+            Node::Inner(inner) => {
+                let mut inner = inner.clone();
+                for i in 0..inner.len() {
+                    inner.set_child(i, tag(s, inner.child(i)));
+                }
+                Arc::new(Node::Inner(inner))
+            }
+        }
+    }
+
+    fn io_snapshot(&self) -> IoStats {
+        self.sessions
+            .iter()
+            .map(IoSession::stats)
+            .fold(IoStats::default(), |a, b| a + b)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matching::Pair;
     use mpq_datagen::WorkloadBuilder;
 
     fn workload(objects: usize, functions: usize, seed: u64) -> (PointSet, FunctionSet) {
@@ -1463,20 +1174,94 @@ mod tests {
     }
 
     #[test]
-    fn skipped_shard_counter_advances_on_pruning() {
+    fn sharded_sb_does_unsharded_work() {
         let (objects, functions) = workload(400, 32, 53);
-        let sharded = ShardedEngine::builder()
+        let unsharded = Engine::builder().objects(&objects).build().unwrap();
+        let exclude = [5u64, 17, 60, 111, 250, 399];
+        let work = |m: &Matching| (m.metrics().loops, m.metrics().reverse_top1_calls);
+        let want_plain = work(&unsharded.request(&functions).evaluate().unwrap());
+        let want_excluded = work(
+            &unsharded
+                .request(&functions)
+                .exclude(exclude)
+                .evaluate()
+                .unwrap(),
+        );
+        for k in [2usize, 4, 8] {
+            let sharded = ShardedEngine::builder()
+                .objects(&objects)
+                .shards(k)
+                .build()
+                .unwrap();
+            let plain = work(&sharded.request(&functions).evaluate().unwrap());
+            assert_eq!(plain, want_plain, "plain, K={k}: (loops, rtop1 calls)");
+            let excluded = work(
+                &sharded
+                    .request(&functions)
+                    .exclude(exclude)
+                    .evaluate()
+                    .unwrap(),
+            );
+            assert_eq!(
+                excluded, want_excluded,
+                "excluded, K={k}: (loops, rtop1 calls)"
+            );
+            assert_eq!(sharded.skipped_shards(), 0, "retired counter");
+        }
+    }
+
+    #[test]
+    fn shard_counts_past_the_tag_are_typed_errors() {
+        let (objects, _) = workload(10, 4, 3);
+        let err = ShardedEngine::builder()
             .objects(&objects)
-            .shards(8)
+            .shards(MAX_SHARDS + 1)
             .build()
-            .unwrap();
-        sharded.evaluate(&functions).unwrap();
-        // Not guaranteed for adversarial inputs, but on a random
-        // workload with 8 shards and 32 rounds some shard must lose a
-        // round by a strict margin.
+            .unwrap_err();
         assert!(
-            sharded.skipped_shards() > 0,
-            "bound pruning never skipped a probe"
+            matches!(err, MpqError::ShardLimit { what: "shards", value, .. } if value == MAX_SHARDS as u64 + 1),
+            "{err:?}"
+        );
+        // A manifest naming too many shards is refused before any shard
+        // directory is touched.
+        let dir = std::env::temp_dir().join(format!(
+            "mpq-shard-limit-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        write_manifest(&dir, MAX_SHARDS + 1, &HashPartitioner).unwrap();
+        let err = ShardedEngine::open(&dir).unwrap_err();
+        assert!(
+            matches!(err, MpqError::ShardLimit { what: "shards", .. }),
+            "{err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn page_ids_tag_without_aliasing() {
+        let last_page = PageId(MAX_SHARD_PAGES as u32 - 1);
+        for shard in [0, 1, MAX_SHARDS - 1] {
+            for page in [PageId(0), PageId(12_345), last_page] {
+                let pid = tag(shard, page);
+                assert_eq!(untag(pid), (shard, page));
+                assert_ne!(pid, ROOT_PID);
+                assert_ne!(pid, PageId::INVALID);
+            }
+        }
+        assert_ne!(ROOT_PID, PageId::INVALID);
+        assert!(check_page_bound(MAX_SHARD_PAGES).is_ok());
+        let err = check_page_bound(MAX_SHARD_PAGES + 1).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MpqError::ShardLimit {
+                    what: "pages in one shard",
+                    ..
+                }
+            ),
+            "{err:?}"
         );
     }
 

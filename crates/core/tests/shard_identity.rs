@@ -1,7 +1,7 @@
 //! Partitioned-engine acceptance: a [`ShardedEngine`] must be an
 //! invisible optimization. For every algorithm, shard count, exclusion
 //! set, capacity vector and interleaved mutation schedule, the
-//! scatter-gather merge must produce matchings **bit-identical** to an
+//! shard-union evaluation must produce matchings **bit-identical** to an
 //! unsharded [`Engine`] over the same objects — and a sharded data
 //! directory must reopen (per-shard WAL replay included) to the same
 //! state. The result cache is stamped with a per-shard version vector,
@@ -13,7 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mpq_core::{
-    Algorithm, Engine, GridPartitioner, MpqError, ServiceConfig, ShardedEngine, SubmitOptions,
+    Algorithm, Engine, GridPartitioner, IndexConfig, MpqError, ServiceConfig, ShardedEngine,
+    SubmitOptions,
 };
 use mpq_rtree::PointSet;
 use mpq_ta::FunctionSet;
@@ -149,7 +150,7 @@ fn sharded_matches_unsharded_for_all_algorithms_and_options() {
 }
 
 /// A spatial partitioner slices differently but must still be
-/// invisible: the merge only assumes disjoint-and-covering shards.
+/// invisible: the union only assumes disjoint-and-covering shards.
 #[test]
 fn grid_partitioned_shards_are_bit_identical_too() {
     let objects = seeded_points(180, 2, 0xCAFE);
@@ -166,6 +167,163 @@ fn grid_partitioned_shards_are_bit_identical_too() {
         let got = sharded.request(&fs).algorithm(alg).evaluate().unwrap();
         assert_eq!(exact(&got.sorted_pairs()), exact(&want.sorted_pairs()));
     }
+}
+
+/// Every algorithm, with and without exclusions, plus capacities: the
+/// sharded engine must answer bit-identically to `single`, an unsharded
+/// engine over the same live inventory and id space.
+fn assert_identical_everywhere(sharded: &ShardedEngine, single: &Engine, fs: &FunctionSet) {
+    assert_eq!(sharded.oid_bound(), single.oid_bound(), "same id space");
+    let exclude: Vec<u64> = (0..single.oid_bound()).step_by(7).collect();
+    for alg in ALGORITHMS {
+        let want = single.request(fs).algorithm(alg).evaluate().unwrap();
+        let got = sharded.request(fs).algorithm(alg).evaluate().unwrap();
+        assert_eq!(
+            exact(&got.sorted_pairs()),
+            exact(&want.sorted_pairs()),
+            "plain, {alg:?}"
+        );
+        let want = single
+            .request(fs)
+            .algorithm(alg)
+            .exclude(exclude.iter().copied())
+            .evaluate()
+            .unwrap();
+        let got = sharded
+            .request(fs)
+            .algorithm(alg)
+            .exclude(exclude.iter().copied())
+            .evaluate()
+            .unwrap();
+        assert_eq!(
+            exact(&got.sorted_pairs()),
+            exact(&want.sorted_pairs()),
+            "excluded, {alg:?}"
+        );
+    }
+    let capacities: Vec<u32> = (0..single.oid_bound())
+        .map(|oid| (oid % 3) as u32)
+        .collect();
+    let want = single
+        .request(fs)
+        .capacities(&capacities)
+        .evaluate()
+        .unwrap();
+    let got = sharded
+        .request(fs)
+        .capacities(&capacities)
+        .evaluate()
+        .unwrap();
+    assert_eq!(
+        exact(&got.sorted_pairs()),
+        exact(&want.sorted_pairs()),
+        "capacities"
+    );
+}
+
+/// 256-byte pages: small fanouts give even small shards inner nodes, so
+/// the union's child-id re-tagging is exercised.
+fn small_pages() -> IndexConfig {
+    IndexConfig {
+        page_size: 256,
+        ..IndexConfig::default()
+    }
+}
+
+/// A grid partition over a sub-range of its axis leaves whole shards
+/// empty at build; the union's synthetic root simply has no entry for
+/// them.
+#[test]
+fn union_with_empty_shards_is_bit_identical() {
+    let mut objects = PointSet::new(3);
+    for (_, p) in seeded_points(200, 3, 0xE417).iter() {
+        objects.push(&[p[0] * 0.5, p[1], p[2]]);
+    }
+    let fs = functions(3, 20, 0x51);
+    let single = Engine::builder()
+        .index(small_pages())
+        .objects(&objects)
+        .build()
+        .unwrap();
+    let sharded = ShardedEngine::builder()
+        .index(small_pages())
+        .objects(&objects)
+        .shards(4)
+        .partitioner(Arc::new(GridPartitioner { axis: 0 }))
+        .build()
+        .unwrap();
+    let empty = sharded
+        .shard_gauges()
+        .iter()
+        .filter(|g| g.objects == 0)
+        .count();
+    assert_eq!(empty, 2, "axis 0 spans [0, 0.5): shards 2 and 3 stay empty");
+    assert_identical_everywhere(&sharded, &single, &fs);
+}
+
+/// Removing every object of one shard drains it to an empty tree while
+/// the other shards keep serving.
+#[test]
+fn union_after_draining_one_shard_is_bit_identical() {
+    let objects = seeded_points(160, 3, 0xD8A1);
+    let fs = functions(3, 18, 0x52);
+    let single = Engine::builder()
+        .index(small_pages())
+        .objects(&objects)
+        .build()
+        .unwrap();
+    let sharded = ShardedEngine::builder()
+        .index(small_pages())
+        .objects(&objects)
+        .shards(4)
+        .build()
+        .unwrap();
+    let drained: Vec<u64> = (0..objects.len() as u64)
+        .filter(|&oid| sharded.shards()[1].object_point(oid).is_some())
+        .collect();
+    assert!(!drained.is_empty());
+    for &oid in &drained {
+        single.remove_object(oid).unwrap();
+        sharded.remove_object(oid).unwrap();
+    }
+    assert_eq!(sharded.shards()[1].n_objects(), 0);
+    assert_identical_everywhere(&sharded, &single, &fs);
+}
+
+/// Shards of very different sizes have trees of different heights, so
+/// the synthetic root's children sit at different levels.
+#[test]
+fn union_over_trees_of_different_heights_is_bit_identical() {
+    let mut objects = PointSet::new(3);
+    for (i, p) in seeded_points(400, 3, 0x4E16).iter() {
+        // 392 objects in [0, 0.5) on axis 0, 8 in [0.5, 1].
+        let x = if i % 50 == 0 {
+            0.5 + p[0] * 0.5
+        } else {
+            p[0] * 0.5
+        };
+        objects.push(&[x, p[1], p[2]]);
+    }
+    let fs = functions(3, 24, 0x53);
+    let single = Engine::builder()
+        .index(small_pages())
+        .objects(&objects)
+        .build()
+        .unwrap();
+    let sharded = ShardedEngine::builder()
+        .index(small_pages())
+        .objects(&objects)
+        .shards(2)
+        .partitioner(Arc::new(GridPartitioner { axis: 0 }))
+        .build()
+        .unwrap();
+    let heights: Vec<u32> = sharded
+        .shard_gauges()
+        .iter()
+        .map(|g| g.tree_height)
+        .collect();
+    assert!(heights[0] > heights[1], "heights {heights:?}");
+    assert_identical_everywhere(&sharded, &single, &fs);
 }
 
 /// The same interleaved mutation schedule applied to both engines:
@@ -411,7 +569,7 @@ fn cache_entries_survive_mutations_scoped_to_other_shards() {
 }
 
 /// Service submission against a sharded backend: the ticket resolves to
-/// the scatter-gather result, per-shard gauges surface in the metrics,
+/// the direct sharded result, per-shard gauges surface in the metrics,
 /// and requests built against a different engine are refused with the
 /// same message the unsharded service uses.
 #[test]

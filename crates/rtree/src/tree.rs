@@ -348,8 +348,8 @@ impl RTree {
     /// Like [`RTree::bulk_load_in`], but with explicit object ids:
     /// `points[i]` is indexed under `oids[i]` instead of `i`. Shards of a
     /// partitioned engine use this to index globally minted oids
-    /// directly, so no translation layer sits between the merge protocol
-    /// and the per-shard trees. Pass `None` to fall back to point
+    /// directly, so leaves read through a union of the per-shard trees
+    /// need no id translation. Pass `None` to fall back to point
     /// indices.
     ///
     /// # Panics
@@ -622,6 +622,12 @@ impl RTree {
     /// Number of live pages ("size of the tree on disk").
     pub fn page_count(&self) -> usize {
         self.buf.live_pages()
+    }
+
+    /// One past the highest page id the tree's store ever allocated:
+    /// every page of every epoch pinned so far has a smaller id.
+    pub fn page_bound(&self) -> u32 {
+        self.buf.page_bound()
     }
 
     /// Fetch a node through the buffer pool (costs I/O on a miss). This

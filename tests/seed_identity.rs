@@ -2,7 +2,7 @@
 //! from a captured [`EvalSeed`] must be **bit-identical** to running it
 //! cold, under random request deltas — exclusion flips and function
 //! weight tweaks — on both the unsharded engine (K = 1) and the
-//! sharded scatter-gather merge (K = 4), including across interleaved
+//! sharded engine (K = 4), including across interleaved
 //! inventory mutations (which stale the seed: the evaluation must
 //! detect that and silently fall back cold).
 //!
@@ -219,4 +219,63 @@ proptest! {
         check(&obj_rows, &fn_rows, &rounds, 1)?;
         check(&obj_rows, &fn_rows, &rounds, 4)?;
     }
+}
+
+/// A K = 4 seed is one skyline snapshot stamped with the whole version
+/// vector. A mutation on any one shard bumps one component, so the seed
+/// no longer matches and must be declined: here the mutation inserts an
+/// object that dominates the whole inventory, which a wrongly honored
+/// seed would never see.
+#[test]
+fn sharded_seed_is_declined_after_a_mutation_on_one_shard() {
+    let mut state = 0x5EED_u64;
+    let rows: Vec<Vec<u16>> = (0..120)
+        .map(|_| {
+            (0..2)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((state >> 33) % 990) as u16
+                })
+                .collect()
+        })
+        .collect();
+    let (objects, live) = points(&rows);
+    let engine = ShardedEngine::builder()
+        .objects(&objects)
+        .shards(4)
+        .build()
+        .unwrap();
+    let functions = FunctionSet::from_rows(2, &[vec![3.0, 1.0], vec![1.0, 2.0], vec![1.0, 1.0]]);
+    let excl: Vec<u64> = live.iter().copied().step_by(9).collect();
+    let request = || engine.request(&functions).exclude(excl.iter().copied());
+
+    let (_, seed) = request().evaluate_seeded(None).unwrap();
+    let seed = seed.expect("an uncapacitated SB evaluation captures a seed");
+    assert_eq!(seed.parts(), 1, "one snapshot over the shard union");
+    assert_eq!(seed.versions(), &engine.version_vector()[..]);
+
+    let before = engine.version_vector();
+    let top = engine.insert_object(&[0.9995, 0.9995]).unwrap();
+    let after = engine.version_vector();
+    let bumped = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+    assert_eq!(bumped, 1, "the insert touches exactly one shard");
+    assert!(!seed.usable_at(&after), "vector mismatch declines the seed");
+
+    let cold = request().evaluate().unwrap();
+    let (warm, recaptured) = request().evaluate_seeded(Some(&seed)).unwrap();
+    let exact = |m: &Matching| -> Vec<(u32, u64, u64)> {
+        m.sorted_pairs()
+            .iter()
+            .map(|p| (p.fid, p.oid, p.score.to_bits()))
+            .collect()
+    };
+    assert_eq!(exact(&warm), exact(&cold), "seed offered, run stays cold");
+    assert!(
+        warm.pairs().iter().any(|p| p.oid == top),
+        "the new dominating object must be matched"
+    );
+    let recaptured = recaptured.expect("the cold run captures afresh");
+    assert_eq!(recaptured.versions(), &after[..]);
 }
