@@ -242,7 +242,7 @@ fn peel_masked<R: NodeSource>(
     if let Some(log) = peeled.as_deref_mut() {
         for &oid in buf.iter() {
             let point = maintainer.get(oid).expect("member being peeled");
-            log.push((oid, point.into()));
+            log.push(oid, point);
         }
     }
     while !buf.is_empty() {
@@ -252,7 +252,7 @@ fn peel_masked<R: NodeSource>(
             if excluded.contains(&oid) {
                 buf.push(oid);
                 if let Some(log) = peeled.as_deref_mut() {
-                    log.push((oid, point));
+                    log.push(oid, &point);
                 }
             }
         }
@@ -278,15 +278,15 @@ fn prime_maintainer<R: NodeSource>(
         None => SkylineMaintainer::build(src),
         Some(part) => {
             let mut m = part.sky.clone();
-            for (oid, point) in &part.peeled {
-                if excluded.contains(oid) {
+            for (oid, point) in part.peeled.iter() {
+                if excluded.contains(&oid) {
                     // Still excluded: stays peeled, carries over into
                     // the capture journal.
                     if let Some(log) = peeled.as_deref_mut() {
-                        log.push((*oid, point.clone()));
+                        log.push(oid, point);
                     }
                 } else {
-                    m.insert(*oid, point.clone());
+                    m.insert(oid, point);
                 }
             }
             m
@@ -395,7 +395,7 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
         BestPairMode::Scan => None,
         _ => Some(ReverseTopOne::build(&scratch.fs)),
     };
-    let mut peeled_log = PeeledLog::new();
+    let mut peeled_log = PeeledLog::new(src.dim());
     let capturing = capture.is_some();
     let mut maintainer = prime_maintainer(
         src,

@@ -30,9 +30,44 @@
 
 use mpq_skyline::SkylineMaintainer;
 
-/// A journal of objects peeled from a skyline snapshot: (oid, point)
-/// in peel order, point kept so re-admission needs no tree read.
-pub(crate) type PeeledLog = Vec<(u64, Box<[f64]>)>;
+/// A journal of objects peeled from a skyline snapshot, in peel order,
+/// points kept so re-admission needs no tree read. Flat: object ids in
+/// one `Vec`, their points back to back (stride `dim`) in another.
+#[derive(Clone, Debug)]
+pub(crate) struct PeeledLog {
+    dim: usize,
+    oids: Vec<u64>,
+    points: Vec<f64>,
+}
+
+impl PeeledLog {
+    pub(crate) fn new(dim: usize) -> PeeledLog {
+        PeeledLog {
+            dim,
+            oids: Vec::new(),
+            points: Vec::new(),
+        }
+    }
+
+    pub(crate) fn push(&mut self, oid: u64, point: &[f64]) {
+        debug_assert_eq!(point.len(), self.dim);
+        self.oids.push(oid);
+        self.points.extend_from_slice(point);
+    }
+
+    /// `(oid, point)` of every peeled object, in peel order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &[f64])> + '_ {
+        self.oids
+            .iter()
+            .copied()
+            .zip(self.points.chunks_exact(self.dim))
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.oids.capacity() * std::mem::size_of::<u64>()
+            + self.points.capacity() * std::mem::size_of::<f64>()
+    }
+}
 
 /// The per-shard slice of an [`EvalSeed`]: the post-peel skyline
 /// snapshot and the objects peeled from it (with their points, so they
@@ -47,14 +82,9 @@ pub(crate) struct SeedPart {
 }
 
 impl SeedPart {
-    /// Approximate heap footprint, for cache byte accounting.
+    /// Approximate heap footprint, for cache byte accounting. O(1).
     pub(crate) fn approx_bytes(&self) -> usize {
-        let peeled: usize = self
-            .peeled
-            .iter()
-            .map(|(_, p)| std::mem::size_of::<(u64, Box<[f64]>)>() + p.len() * 8)
-            .sum();
-        self.sky.approx_bytes() + peeled
+        self.sky.approx_bytes() + self.peeled.approx_bytes()
     }
 }
 

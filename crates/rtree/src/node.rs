@@ -218,39 +218,44 @@ impl Node {
         let _reserved = r.get_u32_le();
         match tag {
             TAG_LEAF => {
-                let mut n = LeafNode::new(dim);
-                assert!(r.len() >= count * (8 * dim + 8), "truncated leaf page");
-                for _ in 0..count {
-                    let mut p = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        p.push(r.get_f64_le());
-                    }
-                    let oid = r.get_u64_le();
-                    n.push(&p, oid);
+                let stride = 8 * dim + 8;
+                assert!(r.len() >= count * stride, "truncated leaf page");
+                let mut points = Vec::with_capacity(count * dim);
+                let mut oids = Vec::with_capacity(count);
+                for entry in r[..count * stride].chunks_exact(stride) {
+                    let (coords, oid) = entry.split_at(8 * dim);
+                    points.extend(coords.chunks_exact(8).map(|c| f64::from_le_bytes(field(c))));
+                    oids.push(u64::from_le_bytes(field(oid)));
                 }
-                Node::Leaf(n)
+                Node::Leaf(LeafNode { dim, points, oids })
             }
             TAG_INNER => {
                 assert!(level >= 1, "inner node with level 0");
-                let mut n = InnerNode::new(dim, level);
-                assert!(r.len() >= count * (16 * dim + 4), "truncated inner page");
-                let mut lo = vec![0.0; dim];
-                let mut hi = vec![0.0; dim];
-                for _ in 0..count {
-                    for c in lo.iter_mut() {
-                        *c = r.get_f64_le();
-                    }
-                    for c in hi.iter_mut() {
-                        *c = r.get_f64_le();
-                    }
-                    let child = PageId(r.get_u32_le());
-                    n.push(&lo, &hi, child);
+                let stride = 16 * dim + 4;
+                assert!(r.len() >= count * stride, "truncated inner page");
+                let mut mbrs = Vec::with_capacity(count * 2 * dim);
+                let mut children = Vec::with_capacity(count);
+                for entry in r[..count * stride].chunks_exact(stride) {
+                    let (mbr, child) = entry.split_at(16 * dim);
+                    mbrs.extend(mbr.chunks_exact(8).map(|c| f64::from_le_bytes(field(c))));
+                    children.push(u32::from_le_bytes(field(child)));
                 }
-                Node::Inner(n)
+                Node::Inner(InnerNode {
+                    dim,
+                    level,
+                    mbrs,
+                    children,
+                })
             }
             other => panic!("unknown node tag {other}"),
         }
     }
+}
+
+/// The bytes of one encoded little-endian field (`f64`, `u64`, `u32`).
+#[inline]
+fn field<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    bytes.try_into().expect("field width")
 }
 
 impl LeafNode {
@@ -456,6 +461,39 @@ mod tests {
         let back = Node::decode(3, &page);
         assert_eq!(back, n);
         assert_eq!(back.level(), 2);
+    }
+
+    #[test]
+    fn full_pages_round_trip_at_every_dim() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let page_size = 4096;
+        for dim in 2..=6 {
+            let mut leaf = LeafNode::new(dim);
+            while HEADER_BYTES + (leaf.len() + 1) * (8 * dim + 8) <= page_size {
+                let p: Vec<f64> = (0..dim).map(|_| next()).collect();
+                leaf.push(&p, leaf.len() as u64 * 7919 + u64::MAX / 2);
+            }
+            let mut inner = InnerNode::new(dim, 3);
+            while HEADER_BYTES + (inner.len() + 1) * (16 * dim + 4) <= page_size {
+                let lo: Vec<f64> = (0..dim).map(|_| next() * 0.5).collect();
+                let hi: Vec<f64> = lo.iter().map(|l| l + next() * 0.5).collect();
+                inner.push(&lo, &hi, PageId(inner.len() as u32 * 31 + 1));
+            }
+            for n in [Node::Leaf(leaf), Node::Inner(inner)] {
+                let mut page = vec![0u8; page_size];
+                n.encode(&mut page);
+                let back = Node::decode(dim, &page);
+                assert_eq!(back, n, "dim {dim}");
+                assert_eq!((back.level(), back.len()), (n.level(), n.len()));
+                assert_eq!(back.encoded_len(), n.encoded_len());
+            }
+        }
     }
 
     #[test]

@@ -489,8 +489,14 @@ impl RTree {
     /// the pinned version stay allocated until the snapshot drops, even
     /// while concurrent mutations publish newer epochs.
     pub fn snapshot(&self) -> Snapshot<'_> {
+        // Read the state and pin its epoch under one hold of the epochs
+        // lock: a mutation published between the two would otherwise
+        // reclaim this epoch's superseded pages before the pin lands.
+        // (Lock order: epochs, then state; `publish` never holds both.)
+        let mut ep = self.epochs.lock();
         let st = *self.state.lock();
-        *self.epochs.lock().active.entry(st.epoch).or_insert(0) += 1;
+        *ep.active.entry(st.epoch).or_insert(0) += 1;
+        drop(ep);
         Snapshot {
             tree: self,
             root: st.root,

@@ -11,6 +11,42 @@
 //! (`Scand` in the paper) and the traversal resumes, reading only pages
 //! that have become potentially undominated.
 //!
+//! ## Layout
+//!
+//! Maintenance handles tens of thousands of entries per evaluation, so
+//! every per-entry record is plain data in a flat array and no entry
+//! owns an allocation of its own:
+//!
+//! * **plists.** An entry is an id — a point's object id or a subtree's
+//!   page id — plus its upper corner (the point itself for a point).
+//!   One skyline object's plist keeps the ids in one `Vec` and the
+//!   corners back to back, stride `dim`, in another.
+//! * **candidate heap.** Heap items are a key, an id and a slot; the
+//!   slot's corner lives in an arena of coordinates that is cleared
+//!   whenever the heap drains, i.e. at the end of every public mutator.
+//! * **members.** Skyline objects sit in a stable slab, so plist
+//!   ownership survives removals without index fix-ups. Their
+//!   coordinates and coordinate sums are kept in flat *scan rows*, each
+//!   with a live flag, for the dominance scan below.
+//!
+//! ## Copy-on-write
+//!
+//! Each plist sits behind its own `Arc`. Cloning a maintainer (the seed
+//! snapshot of seeded evaluation) copies the slab, the scan rows and the
+//! lookup map — O(skyline) — and shares every plist with the original,
+//! which is what keeps a cache full of seeds O(skyline) each rather than
+//! O(inventory). Two rules keep the sharing invisible:
+//!
+//! * a plist is never modified while shared: appending goes through
+//!   `Arc::make_mut`, which first copies a shared plist (two `memcpy`s,
+//!   ids and corners) so the other holder never sees the append;
+//! * removing an owner never copies its plist: the entries are read
+//!   through the shared `Arc` and copied one by one into their new
+//!   owners or the candidate heap, and the `Arc` is then released.
+//!
+//! Everything else — slab, scan rows, lookup map, counters — is owned
+//! by each clone outright.
+//!
 //! ## Dominance-scan acceleration
 //!
 //! Dominance tests against the skyline are the CPU hot spot of BBS-style
@@ -18,13 +54,13 @@
 //!
 //! * a skyline object whose *coordinate sum* is smaller than the
 //!   candidate's cannot dominate it (componentwise ≥ implies sum ≥), so
-//!   objects are scanned in descending-sum order and the scan stops at
-//!   the first object whose sum falls below the candidate's (minus an
+//!   the scan rows are kept in descending-sum order and the scan stops
+//!   at the first row whose sum falls below the candidate's (minus an
 //!   f64 rounding slack);
-//! * skyline objects live in a stable slab (tombstoned on removal), so
-//!   plist ownership survives removals without index fix-ups, and the
-//!   descending-sum order array is rebuilt only after enough changes
-//!   accumulate.
+//! * removals only clear a row's live flag and promotions append
+//!   unsorted rows after the sorted ones (scanned first, without the
+//!   early exit); the rows are compacted and re-sorted only after enough
+//!   such changes accumulate.
 
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -40,6 +76,14 @@ use crate::dominance::dominates_or_equal;
 /// object whose coordinate sum is smaller than the candidate's (beyond
 /// accumulated f64 rounding) cannot dominate it.
 const SUM_SLACK: f64 = 1e-9;
+
+/// Bytes [`SkylineMaintainer::approx_bytes`] charges per plist slot, on
+/// top of the entry's coordinates. The id itself takes 16; the other 16
+/// are a deliberate margin. The result cache admits and evicts seeds by
+/// this estimate, and the margin keeps those decisions — and the
+/// resident memory they bound — where they were tuned. A smaller charge
+/// lets the cache hold more seeds and raises peak memory.
+const ENTRY_CHARGE: usize = 32;
 
 /// A borrowed view of one skyline member.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,97 +112,277 @@ pub struct SkylineStats {
     pub dominance_checks: u64,
 }
 
-/// An entry pruned by (and owned by) a skyline object, or queued in the
-/// candidate heap.
-#[derive(Debug, Clone)]
-enum Pruned {
-    Point { oid: u64, point: Box<[f64]> },
-    Subtree { pid: PageId, hi: Box<[f64]> },
+/// Identity of an entry pruned by a skyline object or queued in the
+/// candidate heap. The derived order is the heap's tie-break at equal
+/// key: points before subtrees, then ascending id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum EntryId {
+    /// A data point, by object id.
+    Point(u64),
+    /// An unexpanded R-tree subtree, by page.
+    Subtree(PageId),
 }
 
-impl Pruned {
-    /// Upper corner: the best point the entry could contain.
-    #[inline]
-    fn hi(&self) -> &[f64] {
-        match self {
-            Pruned::Point { point, .. } => point,
-            Pruned::Subtree { hi, .. } => hi,
-        }
+/// The entries one skyline object pruned (it is their exclusive owner):
+/// ids in `ids`, upper corners back to back in `hi` (stride `dim`).
+#[derive(Debug, Clone, Default)]
+struct PList {
+    ids: Vec<EntryId>,
+    hi: Vec<f64>,
+}
+
+impl PList {
+    fn push(&mut self, id: EntryId, hi: &[f64]) {
+        self.ids.push(id);
+        self.hi.extend_from_slice(hi);
     }
 
-    fn heap_entry(self) -> HeapEntry {
-        let key = mindist_to_best(self.hi());
-        let (kind, id) = match &self {
-            Pruned::Point { oid, .. } => (0u8, *oid),
-            Pruned::Subtree { pid, .. } => (1u8, pid.0 as u64),
-        };
-        HeapEntry {
-            key,
-            kind,
-            id,
-            payload: self,
-        }
+    fn append(&mut self, other: &PList) {
+        self.ids.extend_from_slice(&other.ids);
+        self.hi.extend_from_slice(&other.hi);
+    }
+
+    /// `(id, upper corner)` of every entry, in insertion order.
+    fn iter(&self, dim: usize) -> impl Iterator<Item = (EntryId, &[f64])> + '_ {
+        self.ids.iter().copied().zip(self.hi.chunks_exact(dim))
     }
 }
 
-/// Candidate-heap entry, popped in ascending `key` (L1 mindist to the
-/// best corner), with deterministic tie-breaking: points before subtrees,
-/// then ascending id.
-#[derive(Debug)]
-struct HeapEntry {
+/// Candidate-heap item, popped in ascending `key` (L1 mindist to the
+/// best corner) with the [`EntryId`] order as tie-break. The corner is
+/// row `slot` of the maintainer's arena.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
     key: f64,
-    kind: u8,
-    id: u64,
-    payload: Pruned,
+    id: EntryId,
+    slot: u32,
 }
 
-impl PartialEq for HeapEntry {
+impl PartialEq for Candidate {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
+impl Eq for Candidate {}
+impl PartialOrd for Candidate {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapEntry {
+impl Ord for Candidate {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Inverted: BinaryHeap pops the max, we want the min key.
         other
             .key
             .total_cmp(&self.key)
-            .then_with(|| other.kind.cmp(&self.kind))
             .then_with(|| other.id.cmp(&self.id))
     }
 }
 
+/// One live skyline object.
 #[derive(Debug, Clone)]
-struct SkyObj {
+struct Member {
     oid: u64,
-    point: Box<[f64]>,
-    /// Cached coordinate sum for the dominance fast path.
-    sum: f64,
-    /// Entries this object pruned (it is their exclusive owner). Behind
-    /// an `Arc` so snapshot clones (seeded evaluation) share the pruned
-    /// entries — collectively O(inventory) — copy-on-write: a clone is
-    /// O(skyline), and only the plists a mutation actually touches are
-    /// ever deep-copied.
-    plist: Arc<Vec<Pruned>>,
+    /// Its row in the scan arrays.
+    row: u32,
+    plist: Arc<PList>,
 }
 
-/// Take a plist by value: the cheap move when this maintainer is the
-/// only owner, a deep copy when a snapshot still shares it.
-fn take_plist(plist: Arc<Vec<Pruned>>) -> Vec<Pruned> {
-    Arc::try_unwrap(plist).unwrap_or_else(|shared| (*shared).clone())
+/// The skyline's objects: the slab that owns their plists, the scan
+/// rows that hold their coordinates, and the running plist totals that
+/// make [`SkylineMaintainer::approx_bytes`] O(1).
+#[derive(Debug, Clone)]
+struct Members {
+    dim: usize,
+    /// Stable slab in promotion order: `None` = removed. plist owners
+    /// are slab indices.
+    slab: Vec<Option<Member>>,
+    alive: usize,
+    by_oid: HashMap<u64, usize>,
+    /// Scan rows: coordinates (stride `dim`), coordinate sum, owning
+    /// slab index and live flag. Rows `..sorted` are in descending-sum
+    /// order; rows after them are promotions since the last rebuild.
+    pts: Vec<f64>,
+    sums: Vec<f64>,
+    owners: Vec<u32>,
+    live: Vec<bool>,
+    sorted: usize,
+    /// Removals since the last rebuild (dead rows).
+    stale: usize,
+    /// Total capacity and length of the live members' plists.
+    plist_slots: usize,
+    plist_entries: usize,
+}
+
+impl Members {
+    fn new(dim: usize) -> Members {
+        Members {
+            dim,
+            slab: Vec::new(),
+            alive: 0,
+            by_oid: HashMap::new(),
+            pts: Vec::new(),
+            sums: Vec::new(),
+            owners: Vec::new(),
+            live: Vec::new(),
+            sorted: 0,
+            stale: 0,
+            plist_slots: 0,
+            plist_entries: 0,
+        }
+    }
+
+    #[inline]
+    fn row(&self, r: u32) -> &[f64] {
+        let at = r as usize * self.dim;
+        &self.pts[at..at + self.dim]
+    }
+
+    fn point_of(&self, oid: u64) -> Option<&[f64]> {
+        let idx = *self.by_oid.get(&oid)?;
+        self.slab[idx].as_ref().map(|m| self.row(m.row))
+    }
+
+    /// Add a skyline object owning `plist`.
+    fn promote(&mut self, oid: u64, point: &[f64], plist: PList) {
+        let idx = self.slab.len();
+        let row = self.owners.len() as u32;
+        self.pts.extend_from_slice(point);
+        self.sums.push(point.iter().sum());
+        self.owners.push(idx as u32);
+        self.live.push(true);
+        self.plist_slots += plist.ids.capacity();
+        self.plist_entries += plist.ids.len();
+        self.slab.push(Some(Member {
+            oid,
+            row,
+            plist: Arc::new(plist),
+        }));
+        self.by_oid.insert(oid, idx);
+        self.alive += 1;
+    }
+
+    /// Take `oid` out of the skyline, returning its plist. Its scan row
+    /// stays readable (dead) until the next rebuild.
+    fn remove(&mut self, oid: u64) -> (u32, Arc<PList>) {
+        let idx = self
+            .by_oid
+            .remove(&oid)
+            .unwrap_or_else(|| panic!("object {oid} is not in the skyline"));
+        let m = self.slab[idx].take().expect("slab and by_oid in sync");
+        self.live[m.row as usize] = false;
+        self.alive -= 1;
+        self.stale += 1;
+        self.plist_slots -= m.plist.ids.capacity();
+        self.plist_entries -= m.plist.ids.len();
+        (m.row, m.plist)
+    }
+
+    /// Put a pruned entry into a skyline object's plist.
+    ///
+    /// Note on duplicates: when several objects share identical
+    /// coordinates, exactly one of them represents the group in the
+    /// skyline, but *which* one is implementation-defined — a duplicate
+    /// may be hidden inside an unexpanded subtree whose upper corner
+    /// equals the representative, so a smallest-id convention cannot be
+    /// maintained without defeating the lazy plist design. Removing the
+    /// representative eventually surfaces the remaining duplicates.
+    fn adopt(&mut self, owner: usize, id: EntryId, hi: &[f64]) {
+        let plist = &mut self.slab[owner].as_mut().expect("owner is alive").plist;
+        let before = plist.ids.capacity();
+        let plist = Arc::make_mut(plist);
+        plist.push(id, hi);
+        self.plist_slots = self.plist_slots - before + plist.ids.capacity();
+        self.plist_entries += 1;
+    }
+
+    /// First skyline object (slab index) that dominates-or-equals `x`,
+    /// if any, counting each live member tested in `checks`. Scans the
+    /// unsorted recent promotions linearly, then the sorted rows with
+    /// early exit once sums fall below the candidate's.
+    fn find_dominator(&mut self, x: &[f64], checks: &mut u64) -> Option<usize> {
+        self.maybe_rebuild();
+        let cutoff = x.iter().sum::<f64>() - SUM_SLACK;
+        let s = self.sorted;
+        let rows = self.pts.chunks_exact(self.dim);
+        let fresh = (self.sums[s..].iter().zip(&self.live[s..]))
+            .zip(rows.clone().skip(s).zip(&self.owners[s..]));
+        for ((&sum, &live), (p, &owner)) in fresh {
+            if !live || sum < cutoff {
+                continue;
+            }
+            *checks += 1;
+            if dominates_or_equal(p, x) {
+                return Some(owner as usize);
+            }
+        }
+        let sorted = (self.sums[..s].iter().zip(&self.live[..s])).zip(rows.zip(&self.owners[..s]));
+        for ((&sum, &live), (p, &owner)) in sorted {
+            if sum < cutoff {
+                break; // sorted descending: nothing below can dominate
+            }
+            if !live {
+                continue;
+            }
+            *checks += 1;
+            if dominates_or_equal(p, x) {
+                return Some(owner as usize);
+            }
+        }
+        None
+    }
+
+    fn maybe_rebuild(&mut self) {
+        let churn = (self.owners.len() - self.sorted) + self.stale;
+        if churn > 64 && churn * 4 > self.alive {
+            self.rebuild();
+        }
+    }
+
+    /// Compact the scan rows to the live members and sort them by
+    /// coordinate sum descending (slab index breaks ties).
+    fn rebuild(&mut self) {
+        let mut order: Vec<u32> = (0..self.owners.len() as u32)
+            .filter(|&r| self.live[r as usize])
+            .collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            self.sums[b]
+                .total_cmp(&self.sums[a])
+                .then(self.owners[a].cmp(&self.owners[b]))
+        });
+        let n = order.len();
+        let mut pts = Vec::with_capacity(n * self.dim);
+        let mut sums = Vec::with_capacity(n);
+        let mut owners = Vec::with_capacity(n);
+        for (new_row, &r) in order.iter().enumerate() {
+            pts.extend_from_slice(self.row(r));
+            sums.push(self.sums[r as usize]);
+            let owner = self.owners[r as usize];
+            owners.push(owner);
+            self.slab[owner as usize]
+                .as_mut()
+                .expect("live row has a member")
+                .row = new_row as u32;
+        }
+        self.pts = pts;
+        self.sums = sums;
+        self.owners = owners;
+        self.live.clear();
+        self.live.resize(n, true);
+        self.sorted = n;
+        self.stale = 0;
+    }
 }
 
 /// The maintained skyline of an R-tree-indexed object set.
 ///
 /// Build it once with [`SkylineMaintainer::build`], then call
 /// [`SkylineMaintainer::remove`] as objects get assigned; the structure
-/// incrementally promotes newly undominated objects.
+/// incrementally promotes newly undominated objects. The state is flat
+/// and its plists are shared copy-on-write between clones (see the
+/// [module docs](self)), so [`Clone`] is O(skyline) and the clones never
+/// observe each other's changes.
 ///
 /// The maintainer does not hold a borrow of the tree: the methods that
 /// traverse pages take the node source per call, so the same maintainer
@@ -167,29 +391,25 @@ fn take_plist(plist: Arc<Vec<Pruned>>) -> Vec<Pruned> {
 /// source backed by the same tree across calls (page ids recorded in the
 /// plists are meaningless in any other tree).
 pub struct SkylineMaintainer {
-    /// Stable slab: `None` = removed. plist owners are slab indices.
-    slab: Vec<Option<SkyObj>>,
-    alive: usize,
-    by_oid: HashMap<u64, usize>,
-    /// Slab indices sorted by coordinate sum descending (may contain
-    /// tombstones; excludes entries promoted after the last rebuild).
-    order: Vec<u32>,
-    /// Slab indices promoted since the last `order` rebuild.
-    fresh: Vec<u32>,
-    /// Removals since the last rebuild (tombstones inside `order`).
-    stale: usize,
-    heap: BinaryHeap<HeapEntry>,
+    members: Members,
+    heap: BinaryHeap<Candidate>,
+    /// Corners of the heap's candidates, stride `dim`, indexed by
+    /// [`Candidate::slot`]; cleared whenever the heap drains.
+    arena: Vec<f64>,
+    /// Plists of the objects being removed, held while their entries
+    /// are re-homed (kept to reuse its allocation).
+    orphans: Vec<Arc<PList>>,
     /// Objects that entered the skyline since the last [`Self::remove`]
-    /// call drained it (promotions and duplicate-representative swaps).
-    entered: Vec<(u64, Box<[f64]>)>,
+    /// call drained it (promotions only).
+    entered: Vec<u64>,
     stats: SkylineStats,
 }
 
 /// Snapshotting support for seeded evaluation: between calls the
 /// candidate heap is always drained (every public mutator ends in the
-/// internal BBS drain), so a clone only has to copy the slab, the
-/// lookup maps and the order index — never in-flight heap entries.
-/// The plists are shared copy-on-write, so the copy is O(skyline).
+/// internal BBS drain), so a clone only has to copy the members — never
+/// in-flight heap entries. The plists are shared copy-on-write, so the
+/// copy is O(skyline).
 impl Clone for SkylineMaintainer {
     fn clone(&self) -> SkylineMaintainer {
         debug_assert!(
@@ -197,13 +417,10 @@ impl Clone for SkylineMaintainer {
             "maintainer cloned with a non-drained candidate heap"
         );
         SkylineMaintainer {
-            slab: self.slab.clone(),
-            alive: self.alive,
-            by_oid: self.by_oid.clone(),
-            order: self.order.clone(),
-            fresh: self.fresh.clone(),
-            stale: self.stale,
+            members: self.members.clone(),
             heap: BinaryHeap::new(),
+            arena: Vec::new(),
+            orphans: Vec::new(),
             entered: self.entered.clone(),
             stats: self.stats,
         }
@@ -214,26 +431,23 @@ impl SkylineMaintainer {
     /// Compute the initial skyline of the whole tree (BBS), recording
     /// pruned entries for later maintenance.
     pub fn build<R: NodeSource>(tree: &R) -> SkylineMaintainer {
+        let dim = tree.dim();
         let mut m = SkylineMaintainer {
-            slab: Vec::new(),
-            alive: 0,
-            by_oid: HashMap::new(),
-            order: Vec::new(),
-            fresh: Vec::new(),
-            stale: 0,
+            members: Members::new(dim),
             heap: BinaryHeap::new(),
+            arena: Vec::new(),
+            orphans: Vec::new(),
             entered: Vec::new(),
             stats: SkylineStats::default(),
         };
-        m.heap.push(
-            Pruned::Subtree {
-                pid: tree.root_page(),
-                hi: vec![1.0; tree.dim()].into(),
-            }
-            .heap_entry(),
-        );
+        m.arena.resize(dim, 1.0);
+        m.heap.push(Candidate {
+            key: mindist_to_best(&m.arena),
+            id: EntryId::Subtree(tree.root_page()),
+            slot: 0,
+        });
         m.run(tree);
-        m.rebuild_order();
+        m.members.rebuild();
         m.entered.clear(); // build's "entries" are the initial skyline
         m
     }
@@ -241,35 +455,33 @@ impl SkylineMaintainer {
     /// Number of current skyline objects.
     #[inline]
     pub fn len(&self) -> usize {
-        self.alive
+        self.members.alive
     }
 
     /// True iff the skyline is empty (the object set is exhausted).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.alive == 0
+        self.members.alive == 0
     }
 
     /// True iff `oid` is currently a skyline object.
     pub fn contains(&self, oid: u64) -> bool {
-        self.by_oid.contains_key(&oid)
+        self.members.by_oid.contains_key(&oid)
     }
 
     /// The attribute vector of skyline object `oid`, if present.
     pub fn get(&self, oid: u64) -> Option<&[f64]> {
-        self.by_oid
-            .get(&oid)
-            .and_then(|&i| self.slab[i].as_ref())
-            .map(|o| &*o.point)
+        self.members.point_of(oid)
     }
 
-    /// Iterate over the current skyline. Use [`SkylineMaintainer::len`]
-    /// for the count.
+    /// Iterate over the current skyline, in promotion order. Use
+    /// [`SkylineMaintainer::len`] for the count.
     pub fn iter(&self) -> impl Iterator<Item = SkylineEntry<'_>> + '_ {
-        self.slab.iter().filter_map(|slot| {
-            slot.as_ref().map(|o| SkylineEntry {
-                oid: o.oid,
-                point: &o.point,
+        let members = &self.members;
+        members.slab.iter().filter_map(move |slot| {
+            slot.as_ref().map(|m| SkylineEntry {
+                oid: m.oid,
+                point: members.row(m.row),
             })
         })
     }
@@ -290,32 +502,38 @@ impl SkylineMaintainer {
     /// error in the caller (the SB algorithm only assigns skyline
     /// objects).
     pub fn remove<R: NodeSource>(&mut self, oids: &[u64], tree: &R) -> Vec<(u64, Box<[f64]>)> {
-        let mut orphaned: Vec<Pruned> = Vec::new();
+        let mut orphans = std::mem::take(&mut self.orphans);
         for &oid in oids {
-            let idx = self
-                .by_oid
-                .remove(&oid)
-                .unwrap_or_else(|| panic!("object {oid} is not in the skyline"));
-            let obj = self.slab[idx].take().expect("slab and by_oid in sync");
-            self.alive -= 1;
-            self.stale += 1;
-            orphaned.extend(take_plist(obj.plist));
+            orphans.push(self.members.remove(oid).1);
         }
 
         // Re-home entries still dominated by a surviving skyline object;
-        // the rest become candidates (the paper's `Scand`).
-        for e in orphaned {
-            if let Some(owner) = self.find_dominator(e.hi()) {
-                self.stats.entries_rehomed += 1;
-                self.assign_to_owner(owner, e);
-            } else {
-                self.stats.entries_reheaped += 1;
-                self.heap.push(e.heap_entry());
+        // the rest become candidates (the paper's `Scand`). The orphaned
+        // plists are read in place, even when a snapshot shares them.
+        let dim = self.members.dim;
+        for plist in orphans.drain(..) {
+            for (id, hi) in plist.iter(dim) {
+                let checks = &mut self.stats.dominance_checks;
+                if let Some(owner) = self.members.find_dominator(hi, checks) {
+                    self.stats.entries_rehomed += 1;
+                    self.members.adopt(owner, id, hi);
+                } else {
+                    self.stats.entries_reheaped += 1;
+                    self.push_candidate(id, hi);
+                }
             }
         }
+        self.orphans = orphans;
 
         self.run(tree);
-        std::mem::take(&mut self.entered)
+        let members = &self.members;
+        self.entered
+            .drain(..)
+            .map(|oid| {
+                let point = members.point_of(oid).expect("promoted this call");
+                (oid, point.into())
+            })
+            .collect()
     }
 
     /// Re-admit a previously removed object without touching the tree.
@@ -332,215 +550,120 @@ impl SkylineMaintainer {
     ///
     /// # Panics
     /// Panics if `oid` is already in the skyline.
-    pub fn insert(&mut self, oid: u64, point: Box<[f64]>) {
+    pub fn insert(&mut self, oid: u64, point: &[f64]) {
         assert!(
-            !self.by_oid.contains_key(&oid),
+            !self.contains(oid),
             "object {oid} is already in the skyline"
         );
         debug_assert!(self.heap.is_empty());
-        if let Some(owner) = self.find_dominator(&point) {
+        let checks = &mut self.stats.dominance_checks;
+        if let Some(owner) = self.members.find_dominator(point, checks) {
             self.stats.entries_pruned += 1;
-            self.assign_to_owner(owner, Pruned::Point { oid, point });
+            self.members.adopt(owner, EntryId::Point(oid), point);
             return;
         }
         // Nobody dominates-or-equals the point, so no live member can
         // be coordinate-equal to it: everything it dominates-or-equals
         // is strictly beneath it and must leave the skyline.
-        let mut plist: Vec<Pruned> = Vec::new();
-        for i in 0..self.slab.len() {
-            let demote = match self.slab[i].as_ref() {
-                Some(obj) => {
-                    self.stats.dominance_checks += 1;
-                    dominates_or_equal(&point, &obj.point)
-                }
-                None => false,
+        let mut plist = PList::default();
+        for idx in 0..self.members.slab.len() {
+            let Some(m) = self.members.slab[idx].as_ref() else {
+                continue;
             };
-            if demote {
-                let obj = self.slab[i].take().expect("just matched Some");
-                self.alive -= 1;
-                self.stale += 1;
-                self.by_oid.remove(&obj.oid);
-                plist.push(Pruned::Point {
-                    oid: obj.oid,
-                    point: obj.point,
-                });
-                plist.extend(take_plist(obj.plist));
+            self.stats.dominance_checks += 1;
+            if dominates_or_equal(point, self.members.row(m.row)) {
+                let demoted = m.oid;
+                let (row, owned) = self.members.remove(demoted);
+                plist.push(EntryId::Point(demoted), self.members.row(row));
+                plist.append(&owned);
                 self.stats.entries_pruned += 1;
             }
         }
         self.stats.points_promoted += 1;
-        self.alive += 1;
-        let sum = point.iter().sum();
-        let idx = self.slab.len();
-        self.by_oid.insert(oid, idx);
-        self.slab.push(Some(SkyObj {
-            oid,
-            point,
-            sum,
-            plist: Arc::new(plist),
-        }));
-        self.fresh.push(idx as u32);
+        self.members.promote(oid, point, plist);
     }
 
-    /// Approximate heap footprint of the maintained state (slab,
-    /// plists, lookup maps), for cache byte accounting of snapshots.
+    /// Approximate heap footprint of the maintained state (members,
+    /// plists, lookup map), for cache byte accounting of snapshots.
+    /// O(1): the plist part comes from running totals. Shared plists
+    /// are charged in full to every holder.
     pub fn approx_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<SkylineMaintainer>()
-            + self.slab.capacity() * std::mem::size_of::<Option<SkyObj>>()
-            + (self.order.capacity() + self.fresh.capacity()) * std::mem::size_of::<u32>()
-            + self.by_oid.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<usize>());
-        for obj in self.slab.iter().flatten() {
-            bytes += obj.point.len() * std::mem::size_of::<f64>();
-            bytes += obj.plist.capacity() * std::mem::size_of::<Pruned>();
-            for e in obj.plist.iter() {
-                bytes += std::mem::size_of_val(e.hi());
-            }
-        }
-        bytes
+        let m = &self.members;
+        std::mem::size_of::<SkylineMaintainer>()
+            + m.slab.capacity() * std::mem::size_of::<Option<Member>>()
+            + (m.pts.capacity() + m.sums.capacity()) * std::mem::size_of::<f64>()
+            + m.owners.capacity() * std::mem::size_of::<u32>()
+            + m.live.capacity()
+            + m.by_oid.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<usize>())
+            + m.plist_slots * ENTRY_CHARGE
+            + m.plist_entries * m.dim * std::mem::size_of::<f64>()
     }
 
-    /// Put a pruned entry into a skyline object's plist.
-    ///
-    /// Note on duplicates: when several objects share identical
-    /// coordinates, exactly one of them represents the group in the
-    /// skyline, but *which* one is implementation-defined — a duplicate
-    /// may be hidden inside an unexpanded subtree whose upper corner
-    /// equals the representative, so a smallest-id convention cannot be
-    /// maintained without defeating the lazy plist design. Removing the
-    /// representative eventually surfaces the remaining duplicates.
-    fn assign_to_owner(&mut self, owner: usize, entry: Pruned) {
-        let plist = &mut self.slab[owner].as_mut().expect("owner is alive").plist;
-        Arc::make_mut(plist).push(entry);
+    /// Queue an entry in the candidate heap, its corner in the arena.
+    fn push_candidate(&mut self, id: EntryId, hi: &[f64]) {
+        let slot = (self.arena.len() / self.members.dim) as u32;
+        self.arena.extend_from_slice(hi);
+        self.heap.push(Candidate {
+            key: mindist_to_best(hi),
+            id,
+            slot,
+        });
+    }
+
+    /// Prune an entry into its first dominator's plist, or queue it.
+    fn admit(&mut self, id: EntryId, hi: &[f64]) {
+        let checks = &mut self.stats.dominance_checks;
+        if let Some(owner) = self.members.find_dominator(hi, checks) {
+            self.stats.entries_pruned += 1;
+            self.members.adopt(owner, id, hi);
+        } else {
+            self.push_candidate(id, hi);
+        }
     }
 
     /// Drain the candidate heap: standard BBS with plist recording.
     fn run<R: NodeSource>(&mut self, tree: &R) {
-        while let Some(e) = self.heap.pop() {
-            if let Some(owner) = self.find_dominator(e.payload.hi()) {
+        let dim = self.members.dim;
+        while let Some(c) = self.heap.pop() {
+            let at = c.slot as usize * dim;
+            let hi = &self.arena[at..at + dim];
+            let checks = &mut self.stats.dominance_checks;
+            if let Some(owner) = self.members.find_dominator(hi, checks) {
                 self.stats.entries_pruned += 1;
-                self.assign_to_owner(owner, e.payload);
+                self.members.adopt(owner, c.id, hi);
                 continue;
             }
-            match e.payload {
-                Pruned::Point { oid, point } => self.promote(oid, point),
-                Pruned::Subtree { pid, .. } => {
+            match c.id {
+                EntryId::Point(oid) => {
+                    self.stats.points_promoted += 1;
+                    self.members.promote(oid, hi, PList::default());
+                    self.entered.push(oid);
+                }
+                EntryId::Subtree(pid) => {
                     let node = tree.read_node(pid);
                     self.stats.nodes_expanded += 1;
                     self.expand(&node);
                 }
             }
         }
+        self.arena.clear();
     }
 
-    /// Push a node's children into the heap, pruning what the current
-    /// skyline already dominates (with plist recording).
+    /// Admit a node's children: prune what the current skyline already
+    /// dominates (with plist recording), queue the rest.
     fn expand(&mut self, node: &Node) {
         match node {
             Node::Leaf(leaf) => {
                 for (oid, p) in leaf.iter() {
-                    let cand = Pruned::Point {
-                        oid,
-                        point: p.into(),
-                    };
-                    if let Some(owner) = self.find_dominator(p) {
-                        self.stats.entries_pruned += 1;
-                        self.assign_to_owner(owner, cand);
-                    } else {
-                        self.heap.push(cand.heap_entry());
-                    }
+                    self.admit(EntryId::Point(oid), p);
                 }
             }
             Node::Inner(inner) => {
                 for i in 0..inner.len() {
-                    let cand = Pruned::Subtree {
-                        pid: inner.child(i),
-                        hi: inner.hi(i).into(),
-                    };
-                    if let Some(owner) = self.find_dominator(inner.hi(i)) {
-                        self.stats.entries_pruned += 1;
-                        self.assign_to_owner(owner, cand);
-                    } else {
-                        self.heap.push(cand.heap_entry());
-                    }
+                    self.admit(EntryId::Subtree(inner.child(i)), inner.hi(i));
                 }
             }
         }
-    }
-
-    fn promote(&mut self, oid: u64, point: Box<[f64]>) {
-        self.stats.points_promoted += 1;
-        self.alive += 1;
-        let sum = point.iter().sum();
-        let idx = self.slab.len();
-        self.by_oid.insert(oid, idx);
-        self.entered.push((oid, point.clone()));
-        self.slab.push(Some(SkyObj {
-            oid,
-            point,
-            sum,
-            plist: Arc::new(Vec::new()),
-        }));
-        self.fresh.push(idx as u32);
-    }
-
-    /// First skyline object (slab index) that dominates-or-equals `x`,
-    /// if any. Scans recent promotions linearly, then the descending-sum
-    /// order with early exit once sums fall below the candidate's.
-    fn find_dominator(&mut self, x: &[f64]) -> Option<usize> {
-        self.maybe_rebuild_order();
-        let x_sum: f64 = x.iter().sum();
-        let cutoff = x_sum - SUM_SLACK;
-        for &i in &self.fresh {
-            let Some(obj) = self.slab[i as usize].as_ref() else {
-                continue;
-            };
-            if obj.sum < cutoff {
-                continue;
-            }
-            self.stats.dominance_checks += 1;
-            if dominates_or_equal(&obj.point, x) {
-                return Some(i as usize);
-            }
-        }
-        for &i in &self.order {
-            let Some(obj) = self.slab[i as usize].as_ref() else {
-                continue;
-            };
-            if obj.sum < cutoff {
-                break; // sorted descending: nothing below can dominate
-            }
-            self.stats.dominance_checks += 1;
-            if dominates_or_equal(&obj.point, x) {
-                return Some(i as usize);
-            }
-        }
-        None
-    }
-
-    fn maybe_rebuild_order(&mut self) {
-        let churn = self.fresh.len() + self.stale;
-        if churn > 64 && churn * 4 > self.alive {
-            self.rebuild_order();
-        }
-    }
-
-    fn rebuild_order(&mut self) {
-        self.order.clear();
-        self.order.extend(
-            self.slab
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.is_some())
-                .map(|(i, _)| i as u32),
-        );
-        let slab = &self.slab;
-        self.order.sort_by(|&a, &b| {
-            let sa = slab[a as usize].as_ref().expect("alive").sum;
-            let sb = slab[b as usize].as_ref().expect("alive").sum;
-            sb.total_cmp(&sa).then(a.cmp(&b))
-        });
-        self.fresh.clear();
-        self.stale = 0;
     }
 }
 
@@ -747,7 +870,7 @@ mod tests {
         m.remove(&oids, &tree);
         assert_ne!(sky_ids(&m), reference);
         for (oid, point) in victims.into_iter().rev() {
-            m.insert(oid, point);
+            m.insert(oid, &point);
         }
         assert_eq!(sky_ids(&m), reference);
         // The round-tripped state keeps maintaining correctly.
@@ -774,10 +897,10 @@ mod tests {
         assert_eq!(sky_ids(&m), vec![1]);
         m.remove(&[1], &tree);
         assert!(m.is_empty());
-        m.insert(0, Box::from([0.9, 0.9]));
+        m.insert(0, &[0.9, 0.9]);
         assert_eq!(sky_ids(&m), vec![0]);
         // A dominated insert hides in the dominator's plist ...
-        m.insert(1, Box::from([0.5, 0.5]));
+        m.insert(1, &[0.5, 0.5]);
         assert_eq!(sky_ids(&m), vec![0]);
         // ... and resurfaces when that owner is removed.
         m.remove(&[0], &tree);
@@ -818,7 +941,7 @@ mod tests {
         let mut m = SkylineMaintainer::build(&tree);
         let live = m.iter().next().unwrap().oid;
         let point: Box<[f64]> = m.get(live).unwrap().into();
-        m.insert(live, point);
+        m.insert(live, &point);
     }
 
     #[test]

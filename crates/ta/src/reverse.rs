@@ -14,7 +14,7 @@
 //! removal).
 
 use crate::functions::FunctionSet;
-use crate::threshold::{descending_order, naive_threshold, tight_threshold};
+use crate::threshold::{descending_order_into, naive_threshold, tight_threshold};
 
 /// Slack added to the threshold before declaring termination.
 ///
@@ -62,6 +62,12 @@ pub struct ReverseTopOne {
     /// Per-function visit stamp (avoids clearing a bitmap every call).
     visited: Vec<u32>,
     stamp: u32,
+    /// Per-call scan state, kept to reuse its allocations: the object's
+    /// dimensions by value descending, each list's cursor, and the last
+    /// coefficient seen in each list.
+    order: Vec<usize>,
+    cursors: Vec<usize>,
+    last: Vec<f64>,
     stats: TaStats,
 }
 
@@ -83,6 +89,9 @@ impl ReverseTopOne {
             lists,
             visited: vec![0; fs.len()],
             stamp: 0,
+            order: Vec::with_capacity(dim),
+            cursors: Vec::with_capacity(dim),
+            last: Vec::with_capacity(dim),
             stats: TaStats::default(),
         }
     }
@@ -138,10 +147,13 @@ impl ReverseTopOne {
             self.visited.resize(fs.len(), 0);
         }
 
-        let order = descending_order(point);
-        let mut cursors = vec![0usize; self.dim];
+        descending_order_into(point, &mut self.order);
+        self.cursors.clear();
+        self.cursors.resize(self.dim, 0);
         // before any list progress every coefficient is bounded by 1
-        let mut last = vec![1.0f64; self.dim];
+        self.last.clear();
+        self.last.resize(self.dim, 1.0);
+        let (order, cursors, last) = (&self.order, &mut self.cursors, &mut self.last);
         // top-m candidates, sorted by (score desc, fid asc)
         let mut top: Vec<(u32, f64)> = Vec::with_capacity(m + 1);
         let mut scored = 0u64;
@@ -180,8 +192,8 @@ impl ReverseTopOne {
             if top.len() == m {
                 let worst = top[m - 1].1;
                 let t = match mode {
-                    ThresholdMode::Tight => tight_threshold(&last, point, &order),
-                    ThresholdMode::Naive => naive_threshold(&last, point),
+                    ThresholdMode::Tight => tight_threshold(last, point, order),
+                    ThresholdMode::Naive => naive_threshold(last, point),
                 };
                 // Strict inequality with rounding slack: at `worst == t`
                 // an unseen function could still tie with a smaller id,

@@ -54,9 +54,17 @@ pub fn tight_threshold(last_seen: &[f64], object: &[f64], order: &[usize]) -> f6
 /// Dimension indices sorted by object value descending (ties by index,
 /// for determinism).
 pub fn descending_order(object: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..object.len()).collect();
-    order.sort_by(|&a, &b| object[b].total_cmp(&object[a]).then(a.cmp(&b)));
+    let mut order = Vec::with_capacity(object.len());
+    descending_order_into(object, &mut order);
     order
+}
+
+/// [`descending_order`] into a caller-owned buffer (cleared first), so
+/// repeated scans reuse one allocation.
+pub fn descending_order_into(object: &[f64], order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..object.len());
+    order.sort_by(|&a, &b| object[b].total_cmp(&object[a]).then(a.cmp(&b)));
 }
 
 #[cfg(test)]

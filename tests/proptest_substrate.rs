@@ -33,6 +33,38 @@ fn grid_points(dim: usize, max_len: usize) -> impl Strategy<Value = PointSet> {
     )
 }
 
+fn bits(p: &[f64]) -> Vec<u64> {
+    p.iter().map(|c| c.to_bits()).collect()
+}
+
+/// Check a maintained skyline against the naive skyline of `ps` minus
+/// `removed`. Compared as coordinate sets, because which of several
+/// coordinate-equal objects represents them is implementation-defined;
+/// every reported member must still be a real, unremoved object with
+/// its own coordinates.
+fn check_against_naive(
+    m: &SkylineMaintainer,
+    ps: &PointSet,
+    removed: &HashSet<u64>,
+) -> Result<(), TestCaseError> {
+    let mut got: Vec<Vec<u64>> = Vec::new();
+    for e in m.iter() {
+        prop_assert!(!removed.contains(&e.oid));
+        prop_assert!(m.contains(e.oid));
+        prop_assert_eq!(ps.get(e.oid as usize), e.point);
+        got.push(bits(e.point));
+    }
+    prop_assert_eq!(got.len(), m.len());
+    got.sort_unstable();
+    let mut expect: Vec<Vec<u64>> = naive_skyline_excluding(ps, removed)
+        .into_iter()
+        .map(|o| bits(ps.get(o as usize)))
+        .collect();
+    expect.sort_unstable();
+    prop_assert_eq!(got, expect);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -148,6 +180,58 @@ proptest! {
                 .collect();
             expect.sort_unstable();
             prop_assert_eq!(got, expect);
+        }
+    }
+
+    #[test]
+    fn maintainer_survives_remove_insert_clone_sequences(
+        ps in grid_points(3, 120),
+        ops in proptest::collection::vec((0u8..4, any::<u16>(), any::<bool>()), 0..40),
+    ) {
+        prop_assume!(!ps.is_empty());
+        let tree = RTree::bulk_load(&ps, tiny_params());
+        // `a` and, once cloned, `b`, each with its own model: the set of
+        // objects removed from it. A change one of them makes must never
+        // show in the other, which the per-step checks would catch.
+        let mut a = SkylineMaintainer::build(&tree);
+        let mut a_removed: HashSet<u64> = HashSet::new();
+        let mut b: Option<(SkylineMaintainer, HashSet<u64>)> = None;
+        for (op, pick, on_b) in ops {
+            if op == 3 {
+                b = Some((a.clone(), a_removed.clone()));
+                continue;
+            }
+            let (m, removed) = match &mut b {
+                Some((m, removed)) if on_b => (m, removed),
+                _ => (&mut a, &mut a_removed),
+            };
+            if op < 2 {
+                // Remove one or two members in one call.
+                let members: Vec<u64> = m.iter().map(|e| e.oid).collect();
+                if members.is_empty() {
+                    continue;
+                }
+                let n = (op as usize + 1).min(members.len());
+                let victims: Vec<u64> = (0..n)
+                    .map(|k| members[(pick as usize + k) % members.len()])
+                    .collect();
+                m.remove(&victims, &tree);
+                removed.extend(victims);
+            } else {
+                // Re-admit one removed object.
+                let mut back: Vec<u64> = removed.iter().copied().collect();
+                if back.is_empty() {
+                    continue;
+                }
+                back.sort_unstable();
+                let oid = back[pick as usize % back.len()];
+                m.insert(oid, ps.get(oid as usize));
+                removed.remove(&oid);
+            }
+            check_against_naive(&a, &ps, &a_removed)?;
+            if let Some((m, removed)) = &b {
+                check_against_naive(m, &ps, removed)?;
+            }
         }
     }
 
